@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-grid bench-report race vet fmt staticcheck check trace-demo corridor-demo grid-demo chaos-demo serve-demo policy-demo
+.PHONY: build test bench bench-grid bench-report race vet fmt staticcheck check trace-demo corridor-demo grid-demo chaos-demo serve-demo policy-demo perfbench-test
 
 build:
 	$(GO) build ./...
@@ -99,6 +99,13 @@ serve-demo:
 
 vet:
 	$(GO) vet ./...
+
+## perfbench-test vets and tests the benchmark module. perfbench is a
+## module of its own that imports the program's internal packages, so the
+## root `go test ./...` never builds it; this target catches an API break
+## before the benchmark pipeline does.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 ## staticcheck runs honnef.co/go/tools over the whole module. The tool is
 ## not vendored, so the target fetches it via `go run` and needs network

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"strconv"
 	"sync"
 
 	"crossroads/internal/intersection"
@@ -92,14 +91,4 @@ func policyRegistered(name string) bool {
 	defer policyMu.RUnlock()
 	_, ok := policyReg[name]
 	return ok
-}
-
-// NodeEndpoint returns the network address of a topology node's IM shard.
-// Node 0 keeps the historic bare "im" name so single-intersection traces
-// and tests are unchanged by the topology refactor.
-func NodeEndpoint(node int) string {
-	if node == 0 {
-		return EndpointName
-	}
-	return EndpointName + strconv.Itoa(node)
 }

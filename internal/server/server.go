@@ -42,10 +42,9 @@ type Config struct {
 	// with CodeClockMode.
 	Clock protocol.ClockMode
 	// Seed feeds the scheduler and network RNG streams. Shard k draws
-	// from Seed+1+1000k (network) and Seed+2+1000k (scheduler), mirroring
-	// the parallel DES kernel's per-node layout, so node 0 is stream-
-	// compatible with the unsharded server and every shard matches its
-	// in-DES twin.
+	// node k's streams of the one per-node layout (im.NodeStream), so
+	// node 0 is stream-compatible with the unsharded server and every
+	// shard's scheduler matches its in-DES twin.
 	Seed int64
 	// ModelCost charges the calibrated testbed computation-cost model in
 	// scheduler time. Off by default when serving: real wall time is the

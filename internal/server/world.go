@@ -12,7 +12,6 @@ package server
 
 import (
 	"fmt"
-	"math/rand"
 
 	"crossroads/internal/des"
 	"crossroads/internal/im"
@@ -41,11 +40,10 @@ type world struct {
 	vehicles map[int64]bool
 }
 
-// newWorldAt builds the embedded IM stack for one topology node. The RNG
-// stream layout mirrors internal/sim's per-node construction (network
-// Seed+1+1000k, IM shard Seed+2+1000k) so a served shard draws the same
-// jitter sequence as its in-DES twin under the same seed; node 0 reduces
-// to the legacy single-intersection layout (Seed+1, Seed+2).
+// newWorldAt builds the embedded IM stack for one topology node. Its
+// shard and network jitter come from the node's streams of the shared
+// per-node layout (im.NodeStream), so a served shard draws the same jitter
+// sequence as its in-DES twin under the same seed.
 func newWorldAt(cfg Config, node int) (*world, error) {
 	var xcfg intersection.Config
 	var spec safety.Spec
@@ -74,24 +72,20 @@ func newWorldAt(cfg Config, node int) (*world, error) {
 		RefLength: ref.Length,
 		RefWidth:  ref.Width,
 	}
-	k := int64(node)
-	rngIM := rand.New(rand.NewSource(cfg.Seed + 2 + 1000*k))
-	sched, err := im.NewScheduler(cfg.Policy, x, opts, rngIM)
+	sim := des.New()
+	net := network.New(sim, im.NodeStream(cfg.Seed, im.StreamNet, node), nil, network.ConstantDelay{D: 0}, 0)
+	srv, err := im.NewNode(sim, net, cfg.Policy, x, opts, cfg.Seed, node, nil)
 	if err != nil {
 		return nil, err
 	}
-	sim := des.New()
-	rngNet := rand.New(rand.NewSource(cfg.Seed + 1 + 1000*k))
-	net := network.New(sim, rngNet, nil, network.ConstantDelay{D: 0}, 0)
-	w := &world{
+	return &world{
 		x:        x,
 		sim:      sim,
 		net:      net,
+		im:       srv,
 		node:     node,
 		vehicles: make(map[int64]bool),
-	}
-	w.im = im.NewServerAt(sim, net, sched, nil, im.NodeEndpoint(node), node)
-	return w, nil
+	}, nil
 }
 
 // refParams returns the reference vehicle footprint for a geometry: the

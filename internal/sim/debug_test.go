@@ -7,6 +7,7 @@ import (
 	"strconv"
 	"testing"
 
+	"crossroads/internal/des"
 	"crossroads/internal/intersection"
 	"crossroads/internal/kinematics"
 	"crossroads/internal/safety"
@@ -89,7 +90,11 @@ func TestDebugDump(t *testing.T) {
 		}
 	}
 
-	w, err := newWorld(cfg, arr)
+	s, err := resolve(cfg, arr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := newWorld(s, des.New(), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

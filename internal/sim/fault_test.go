@@ -12,6 +12,7 @@ import (
 	"crossroads/internal/intersection"
 	"crossroads/internal/kinematics"
 	"crossroads/internal/safety"
+	"crossroads/internal/topology"
 	"crossroads/internal/trace"
 	"crossroads/internal/traffic"
 	"crossroads/internal/vehicle"
@@ -159,5 +160,76 @@ func TestAIMDeepOversaturationTail(t *testing.T) {
 		if res.Incomplete != 0 {
 			t.Errorf("seed %d: %d vehicles incomplete", seed, res.Incomplete)
 		}
+	}
+}
+
+// TestStallOnInnerNodeBothKernels stalls node 2 of a 2x2 grid — not the
+// classic node 0 — under both event kernels. The window's edges must be
+// traced exactly once each, tagged with the stalled node and stamped at the
+// window edges, and the fleet must recover with zero collisions and nobody
+// stranded.
+func TestStallOnInnerNodeBothKernels(t *testing.T) {
+	grid22, err := topology.Grid(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := grid22.WithSegmentLen(0.8)
+	arr := topoWorkload(t, topo, 16, 4)
+	stall := fault.Window{Kind: fault.Stall, Start: 3, Duration: 4, Node: 2}
+	for _, k := range []Kernel{KernelSerial, KernelParallel} {
+		t.Run(k.String(), func(t *testing.T) {
+			rec := trace.NewFull()
+			cfg, err := NewConfig(
+				WithTopology(topo),
+				WithPolicy(vehicle.PolicyCrossroads),
+				WithSeed(4),
+				WithFaults(&fault.Schedule{Windows: []fault.Window{stall}}),
+				WithKernel(k),
+				WithTrace(rec),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := Run(cfg, arr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Kernel != k.String() {
+				t.Fatalf("ran on the %s kernel, want %s", res.Kernel, k)
+			}
+			edges := map[string][]trace.Event{}
+			var stalledGrants, laterGrants int
+			for _, e := range rec.Events() {
+				switch {
+				case e.Kind == trace.KindFaultBegin || e.Kind == trace.KindFaultEnd:
+					edges[e.Kind] = append(edges[e.Kind], e)
+				case e.Kind == trace.KindIMGrant && e.Node == 2 && e.T > stall.Start && e.T < stall.End():
+					stalledGrants++
+				case e.Kind == trace.KindIMGrant && e.Node == 2 && e.T >= stall.End():
+					laterGrants++
+				}
+			}
+			if stalledGrants != 0 || laterGrants == 0 {
+				t.Errorf("node 2 granted %d times inside the stall and %d times after it; want none, then some",
+					stalledGrants, laterGrants)
+			}
+			for kind, at := range map[string]float64{
+				trace.KindFaultBegin: stall.Start,
+				trace.KindFaultEnd:   stall.End(),
+			} {
+				evs := edges[kind]
+				if len(evs) != 1 {
+					t.Fatalf("%s traced %d times, want once", kind, len(evs))
+				}
+				if e := evs[0]; e.Node != 2 || e.T != at || e.Detail != fault.Stall.String() {
+					t.Errorf("%s = {Node:%d T:%v Detail:%q}, want {Node:2 T:%v Detail:%q}",
+						kind, e.Node, e.T, e.Detail, at, fault.Stall.String())
+				}
+			}
+			if res.Summary.Collisions != 0 || res.Stranded != 0 {
+				t.Errorf("after the node-2 stall: %d collisions, %d stranded",
+					res.Summary.Collisions, res.Stranded)
+			}
+		})
 	}
 }

@@ -16,15 +16,11 @@ import (
 // right; later options win on conflicting fields.
 type Option func(*Config)
 
-// NewConfig builds a validated Config from options. This is the preferred
-// construction path: it runs Validate exactly once, here, and Run will not
-// re-validate a Config built this way. The zero value of every unset knob
-// keeps its documented default (scale-model geometry, testbed spec, cost
-// and delay models, and so on).
-//
-// Constructing Config as a struct literal still works — Run validates such
-// configs itself — but new code should use NewConfig so contradictions
-// surface at construction time rather than inside the run.
+// NewConfig builds a Config from options and validates it, so
+// contradictions surface at construction time (Run validates again, which
+// also catches a Config mutated afterwards). The zero value of every unset
+// knob keeps its documented default (scale-model geometry, testbed spec,
+// cost and delay models, and so on).
 func NewConfig(opts ...Option) (Config, error) {
 	var cfg Config
 	for _, o := range opts {
@@ -33,7 +29,6 @@ func NewConfig(opts ...Option) (Config, error) {
 	if err := cfg.Validate(); err != nil {
 		return Config{}, err
 	}
-	cfg.validated = true
 	return cfg, nil
 }
 

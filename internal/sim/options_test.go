@@ -29,9 +29,6 @@ func TestNewConfigSetsFields(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cfg.validated {
-		t.Fatal("NewConfig did not mark the config validated")
-	}
 	want := Config{
 		Policy:           vehicle.PolicyVTIM,
 		Seed:             99,
@@ -44,7 +41,6 @@ func TestNewConfigSetsFields(t *testing.T) {
 		ClockMaxDriftPPM: 40,
 		OmitRTDBuffer:    true,
 		CollisionEvery:   4,
-		validated:        true,
 	}
 	if !reflect.DeepEqual(cfg, want) {
 		t.Fatalf("NewConfig mismatch:\n got %+v\nwant %+v", cfg, want)
@@ -64,7 +60,7 @@ func TestNewConfigRejectsContradictions(t *testing.T) {
 }
 
 // TestNewConfigRunEquivalence proves a NewConfig-built run is bit-identical
-// to the deprecated struct-literal path for the same knobs.
+// to a struct-literal run with the same knobs.
 func TestNewConfigRunEquivalence(t *testing.T) {
 	arrivals, err := traffic.ScaleScenario(1, rand.New(rand.NewSource(7)))
 	if err != nil {

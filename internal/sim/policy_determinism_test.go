@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
 	"crossroads/internal/plant"
@@ -89,6 +91,53 @@ func TestNewPoliciesDeterministicAcrossWorkers(t *testing.T) {
 							workers, i, gotEvs[i], wantEvs[i])
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestPolicyParamsReachBothKernels pins that Config.PolicyParams reaches
+// the scheduler under either event kernel: an unknown knob under the
+// running policy's namespace fails Run, and a known knob changes the run.
+func TestPolicyParamsReachBothKernels(t *testing.T) {
+	grid22, err := topology.Grid(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo := grid22.WithSegmentLen(0.8)
+	arr := topoWorkload(t, topo, 14, 23)
+	for _, k := range []Kernel{KernelSerial, KernelParallel} {
+		t.Run(k.String(), func(t *testing.T) {
+			run := func(pol vehicle.Policy, params map[string]string) (Result, error) {
+				cfg, err := NewConfig(
+					WithTopology(topo),
+					WithPolicy(pol),
+					WithPolicyParams(params),
+					WithSeed(23),
+					WithKernel(k),
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return Run(cfg, arr)
+			}
+			if _, err := run(vehicle.PolicyDOT, map[string]string{"dot.bogus": "1"}); err == nil ||
+				!strings.Contains(err.Error(), "bogus") {
+				t.Errorf("unknown knob dot.bogus: err = %v, want an error naming it", err)
+			}
+			def, err := run(vehicle.PolicySignalized, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tuned, err := run(vehicle.PolicySignalized, map[string]string{"signalized.green": "3"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tuned.Kernel != k.String() {
+				t.Fatalf("ran on the %s kernel, want %s", tuned.Kernel, k)
+			}
+			if reflect.DeepEqual(def.Vehicles, tuned.Vehicles) {
+				t.Error("signalized.green=3 left every journey unchanged: the knob never reached the scheduler")
 			}
 		})
 	}

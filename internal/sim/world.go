@@ -40,12 +40,8 @@ import (
 	"crossroads/internal/vehicle"
 )
 
-// Config describes one simulation run.
-//
-// Prefer building it with NewConfig and Options; struct-literal
-// construction is deprecated (it still works — Run validates such configs
-// on entry — but it postpones error reporting to run time and will not be
-// extended with new invariants).
+// Config describes one simulation run. Build it with NewConfig and Options
+// or as a struct literal; Run validates it either way.
 type Config struct {
 	// Intersection geometry; zero value uses the scale model. Every
 	// topology node reuses this geometry.
@@ -67,9 +63,10 @@ type Config struct {
 	// Faults, if non-nil, scripts fault windows onto the run (burst loss,
 	// partitions, delay spikes, duplication, IM stalls) and arms both
 	// protocol sides' degradation paths: vehicle grant-expiry failsafe and
-	// IM lease expiry. The injector draws from its own Seed+6 stream, so a
-	// faulted run samples the same delays and loss coins as its clean twin;
-	// nil leaves the run byte-identical to a pre-fault build.
+	// IM lease expiry. The injector draws from its own fault stream
+	// (im.StreamFault), so a faulted run samples the same delays and loss
+	// coins as its clean twin; nil leaves the run byte-identical to a
+	// pre-fault build.
 	Faults *fault.Schedule
 	// Noise configures the plants; zero value is noiseless. Use
 	// plant.TestbedNoise() for the calibrated testbed disturbance.
@@ -150,11 +147,6 @@ type Config struct {
 	// parallel kernel's per-vehicle results match the serial kernel's
 	// exactly. Contradicts explicit nonzero WithClockError bounds.
 	PerfectClocks bool
-
-	// validated is set by NewConfig so Run skips re-validation. Configs
-	// built as struct literals leave it false and are validated by Run.
-	// Mutating a Config after NewConfig forfeits the guarantee.
-	validated bool
 }
 
 // Validate rejects configurations that would silently run a different
@@ -325,11 +317,11 @@ var kernelFallbackWarn io.Writer = os.Stderr
 // kernelFallbackReason explains why a parallel-kernel request cannot
 // engage, or "" when it can: the parallel kernel needs a lookahead — a
 // multi-node topology with a positive inter-node segment length.
-func kernelFallbackReason(cfg *Config) string {
+func kernelFallbackReason(topo *topology.Topology) string {
 	switch {
-	case cfg.Topology == nil || cfg.Topology.NumNodes() <= 1:
+	case topo.NumNodes() <= 1:
 		return "topology has a single node (no shards to run concurrently)"
-	case cfg.Topology.SegmentLen() <= 0:
+	case topo.SegmentLen() <= 0:
 		return "topology segment length is zero (no conservative lookahead window)"
 	}
 	return ""
@@ -338,69 +330,165 @@ func kernelFallbackReason(cfg *Config) string {
 // Run executes one full simulation of the workload under the configured
 // policy and returns the aggregated result.
 func Run(cfg Config, arrivals []traffic.Arrival) (Result, error) {
-	if cfg.Kernel == KernelParallel {
-		reason := kernelFallbackReason(&cfg)
+	s, err := resolve(cfg, arrivals)
+	if err != nil {
+		return Result{}, err
+	}
+	if s.cfg.Kernel == KernelParallel {
+		reason := kernelFallbackReason(s.cfg.Topology)
 		if reason == "" {
-			w, err := newPWorld(cfg, arrivals)
+			pw, err := newPWorld(s)
 			if err != nil {
 				return Result{}, err
 			}
-			return w.run()
+			return pw.run()
 		}
 		// The fallback used to be silent, which made "-kernel parallel"
 		// benchmarks on a 1x1 topology look suspiciously flat. Name the
 		// reason, and in strict mode refuse to run at all.
-		if cfg.KernelStrict {
+		if s.cfg.KernelStrict {
 			return Result{}, fmt.Errorf("sim: parallel kernel unavailable: %s", reason)
 		}
 		fmt.Fprintf(kernelFallbackWarn,
 			"sim: warning: falling back to the serial kernel: %s\n", reason)
 	}
-	w, err := newWorld(cfg, arrivals)
+	w, err := newWorld(s, des.New(), nil, 0)
 	if err != nil {
 		return Result{}, err
 	}
 	return w.run()
 }
 
-// coordConfigFor resolves the coordination-plane settings for a run: the
-// caller's period (raised to minPeriod — the parallel kernel passes its
-// lookahead so digests never force sub-lookahead synchronization) and the
-// segment transit estimate. Transit from granted box entry at one node to
-// box entry at the next — entry→despawn upstream, the inter-node segment,
-// then line→entry downstream — sums to one full straight-movement path
-// plus the segment, covered at the fleet's cruise (top) speed.
-func coordConfigFor(cfg *Config, arrivals []traffic.Arrival, x *intersection.Intersection, minPeriod float64) im.CoordConfig {
-	ccfg := im.DefaultCoordConfig()
-	if cfg.CoordPeriod > 0 {
-		ccfg.Period = cfg.CoordPeriod
-	}
-	if ccfg.Period < minPeriod {
-		ccfg.Period = minPeriod
-	}
-	cruise := 0.0
-	for _, a := range arrivals {
-		cruise = math.Max(cruise, a.Params.MaxSpeed)
-	}
-	m := x.Movement(intersection.MovementID{Approach: intersection.East, Lane: 0, Turn: intersection.Straight})
-	if m != nil && cruise > 0 {
-		ccfg.SegmentTransit = (m.Length + cfg.Topology.SegmentLen()) / cruise
-	}
-	return ccfg
+// setup is a run resolved once, before the kernel is chosen: the validated
+// Config with every default applied, plus everything both kernels derive
+// from it and the workload.
+type setup struct {
+	cfg      Config
+	arrivals []traffic.Arrival
+	x        *intersection.Intersection
+	opts     im.PolicyOptions
+	// agentCfg is the vehicle-agent template; each world binds its own
+	// trace recorder.
+	agentCfg vehicle.Config
+	buffers  safety.Buffers
+	// cruise is the fleet's top speed.
+	cruise float64
+	// coord configures the coordination plane; nil when it is off or the
+	// topology has a single node (an IM without peers).
+	coord *im.CoordConfig
 }
 
-// coordPeersFor resolves node k's slice of the coordination plane: the
-// broadcast peer set (all adjacent IMs — grid adjacency is symmetric) and
-// the downstream neighbor per exit direction.
-func coordPeersFor(topo *topology.Topology, k int) ([]im.CoordPeer, map[intersection.Approach]im.CoordPeer) {
-	var peers []im.CoordPeer
-	downstream := make(map[intersection.Approach]im.CoordPeer)
-	for _, e := range topo.OutEdges(topology.NodeID(k)) {
-		p := im.CoordPeer{Node: int(e.To), Endpoint: im.NodeEndpoint(int(e.To))}
-		peers = append(peers, p)
-		downstream[e.Dir] = p
+// resolve validates cfg, applies its defaults and derives the run's shared
+// state from the workload.
+func resolve(cfg Config, arrivals []traffic.Arrival) (*setup, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	return peers, downstream
+	if len(arrivals) == 0 {
+		return nil, fmt.Errorf("sim: empty workload")
+	}
+	if cfg.Intersection == (intersection.Config{}) {
+		cfg.Intersection = intersection.ScaleModelConfig()
+	}
+	if cfg.Topology == nil {
+		cfg.Topology = topology.Single()
+	}
+	if cfg.Spec == (safety.Spec{}) {
+		cfg.Spec = safety.TestbedSpec()
+	}
+	if cfg.Cost == (im.CostModel{}) {
+		cfg.Cost = im.TestbedCostModel()
+	}
+	if cfg.Delay == nil {
+		cfg.Delay = network.TestbedDelay()
+	}
+	if cfg.PhysicsDt <= 0 {
+		cfg.PhysicsDt = 0.01
+	}
+	if cfg.ClockMaxOffset <= 0 {
+		cfg.ClockMaxOffset = 0.2
+	}
+	if cfg.ClockMaxDriftPPM <= 0 {
+		cfg.ClockMaxDriftPPM = 20
+	}
+	if cfg.PerfectClocks {
+		// Zero bounds, applied after defaulting: NewRandomClock still draws
+		// its two uniforms per vehicle (stream consumption is unchanged) but
+		// every clock comes out with zero offset and drift.
+		cfg.ClockMaxOffset = 0
+		cfg.ClockMaxDriftPPM = 0
+	}
+	if cfg.CollisionEvery <= 0 {
+		cfg.CollisionEvery = 2
+	}
+	x, err := intersection.New(cfg.Intersection)
+	if err != nil {
+		return nil, err
+	}
+
+	// Reference footprint: the longest vehicle in the workload (the first
+	// of equals), widened to the widest.
+	refParams, refWid, cruise := arrivals[0].Params, 0.0, 0.0
+	numNodes := cfg.Topology.NumNodes()
+	for _, a := range arrivals {
+		if err := a.Params.Validate(); err != nil {
+			return nil, fmt.Errorf("sim: arrival %d: %w", a.ID, err)
+		}
+		if a.Node < 0 || a.Node >= numNodes {
+			return nil, fmt.Errorf("sim: arrival %d enters at node %d; topology %s has %d nodes",
+				a.ID, a.Node, cfg.Topology, numNodes)
+		}
+		if a.Params.Length > refParams.Length {
+			refParams = a.Params
+		}
+		refWid = math.Max(refWid, a.Params.Width)
+		cruise = math.Max(cruise, a.Params.MaxSpeed)
+	}
+	s := &setup{
+		cfg:      cfg,
+		arrivals: arrivals,
+		x:        x,
+		opts: im.PolicyOptions{
+			Spec:          cfg.Spec,
+			Cost:          cfg.Cost,
+			RefLength:     refParams.Length,
+			RefWidth:      refWid,
+			OmitRTDBuffer: cfg.OmitRTDBuffer,
+			AIMGridN:      cfg.AIMGridN,
+			AIMTimeStep:   cfg.AIMTimeStep,
+			Params:        cfg.PolicyParams,
+		},
+		// The safety contract checked at runtime is on sensing-buffered
+		// footprints for every policy: the RTD buffer is a *planning* margin
+		// that absorbs execution-time deviation, so actual footprints
+		// inflated by sensing+sync error must stay disjoint — that is what
+		// the paper's buffers exist to guarantee.
+		buffers: cfg.Spec.ForCrossroads(),
+		cruise:  cruise,
+	}
+
+	s.agentCfg = vehicle.DeriveConfig(cfg.Policy, cfg.Spec, refParams)
+	if cfg.Policy == vehicle.PolicyBatch {
+		// Batch replies are held for the re-organization window; budget
+		// the retransmission timeout and the command latency accordingly.
+		s.agentCfg.ResponseTimeout = batch.DefaultConfig().Window + cfg.Spec.WorstRTD + 0.05
+		s.agentCfg.CommandLatency = batch.DefaultConfig().Window + cfg.Spec.WorstRTD
+	}
+	if cfg.AgentOverrides != nil {
+		s.agentCfg = *cfg.AgentOverrides
+	}
+	if cfg.Faults != nil {
+		// The grant-expiry failsafe is armed only under fault injection
+		// (after overrides): a positive TTL changes vehicle control flow,
+		// and clean runs must stay byte-identical to a fault-free build.
+		s.agentCfg.GrantTTL = cfg.Faults.ResolvedGrantTTL()
+	}
+
+	if cfg.Coord && numNodes > 1 {
+		c := im.TopologyCoordConfig(x, cfg.Topology.SegmentLen(), cruise, cfg.CoordPeriod)
+		s.coord = &c
+	}
+	return s, nil
 }
 
 // worldNode is one intersection's IM shard and its node-local accounting.
@@ -454,292 +542,206 @@ type world struct {
 	departed map[string]int
 }
 
-func newWorld(cfg Config, arrivals []traffic.Arrival) (*world, error) {
-	if !cfg.validated {
-		if err := cfg.Validate(); err != nil {
-			return nil, err
-		}
-	}
-	if len(arrivals) == 0 {
-		return nil, fmt.Errorf("sim: empty workload")
-	}
-	if cfg.Intersection == (intersection.Config{}) {
-		cfg.Intersection = intersection.ScaleModelConfig()
-	}
-	if cfg.Topology == nil {
-		cfg.Topology = topology.Single()
-	}
-	if cfg.Spec == (safety.Spec{}) {
-		cfg.Spec = safety.TestbedSpec()
-	}
-	if cfg.Cost == (im.CostModel{}) {
-		cfg.Cost = im.TestbedCostModel()
-	}
-	if cfg.Delay == nil {
-		cfg.Delay = network.TestbedDelay()
-	}
-	if cfg.PhysicsDt <= 0 {
-		cfg.PhysicsDt = 0.01
-	}
-	if cfg.ClockMaxOffset <= 0 {
-		cfg.ClockMaxOffset = 0.2
-	}
-	if cfg.ClockMaxDriftPPM <= 0 {
-		cfg.ClockMaxDriftPPM = 20
-	}
-	if cfg.PerfectClocks {
-		// Zero bounds, applied after defaulting: NewRandomClock still draws
-		// its two uniforms per vehicle (stream consumption is unchanged) but
-		// every clock comes out with zero offset and drift.
-		cfg.ClockMaxOffset = 0
-		cfg.ClockMaxDriftPPM = 0
-	}
-	if cfg.CollisionEvery <= 0 {
-		cfg.CollisionEvery = 2
-	}
-	x, err := intersection.New(cfg.Intersection)
-	if err != nil {
-		return nil, err
-	}
-	sim := des.New()
-	// The network draws delays from Seed+1 and loss coins from Seed+5:
-	// independent streams, so a lossy or faulted run samples the exact
-	// same per-message latencies as its clean twin.
-	rngNet := rand.New(rand.NewSource(cfg.Seed + 1))
-	rngLoss := rand.New(rand.NewSource(cfg.Seed + 5))
-	net := network.New(sim, rngNet, rngLoss, cfg.Delay, cfg.LossProb)
+// newWorld builds one event world on kernel sim. A serial world (pw nil)
+// hosts every node's IM shard on one shared network and records journeys
+// and traces in the run's own collector and recorder. A parallel shard
+// (pw set) hosts only node home's IM shard, records journeys in pw's
+// collector and traces in a recorder of its own. Either way the world's
+// network and vehicle streams are node home's (node 0 for a serial world).
+func newWorld(s *setup, sim *des.Simulator, pw *pworld, home int) (*world, error) {
+	cfg := s.cfg
 	col := metrics.NewCollector()
-
-	// Reference footprint: the largest vehicle in the workload.
-	refLen, refWid := 0.0, 0.0
-	numNodes := cfg.Topology.NumNodes()
-	for _, a := range arrivals {
-		if err := a.Params.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: arrival %d: %w", a.ID, err)
+	if pw != nil {
+		col = pw.jcol
+		if cfg.Trace != nil {
+			cfg.Trace = trace.NewFull()
+			pw.recs[home] = cfg.Trace
 		}
-		if a.Node < 0 || a.Node >= numNodes {
-			return nil, fmt.Errorf("sim: arrival %d enters at node %d; topology %s has %d nodes",
-				a.ID, a.Node, cfg.Topology, numNodes)
+	}
+	stream := func(b im.Stream) *rand.Rand { return im.NodeStream(cfg.Seed, b, home) }
+	net := network.New(sim, stream(im.StreamNet), stream(im.StreamLoss), cfg.Delay, cfg.LossProb)
+	w := &world{
+		cfg:         cfg,
+		arrivals:    s.arrivals,
+		sim:         sim,
+		net:         net,
+		x:           s.x,
+		topo:        cfg.Topology,
+		nodes:       make([]worldNode, cfg.Topology.NumNodes()),
+		col:         col,
+		rngClock:    stream(im.StreamClock),
+		rngPlant:    stream(im.StreamPlant),
+		agentCfg:    s.agentCfg,
+		buffers:     s.buffers,
+		overlapping: make(map[[2]int64]bool),
+		bufOverlap:  make(map[[2]int64]bool),
+		pw:          pw,
+		shardIdx:    home,
+	}
+	// Tracing is bound after overrides so a caller-supplied agent config
+	// cannot silently detach the run's recorder.
+	w.agentCfg.Trace = cfg.Trace
+	for k := range w.nodes {
+		if pw != nil && k != home {
+			continue
 		}
-		refLen = math.Max(refLen, a.Params.Length)
-		refWid = math.Max(refWid, a.Params.Width)
-	}
-
-	opts := im.PolicyOptions{
-		Spec:          cfg.Spec,
-		Cost:          cfg.Cost,
-		RefLength:     refLen,
-		RefWidth:      refWid,
-		OmitRTDBuffer: cfg.OmitRTDBuffer,
-		AIMGridN:      cfg.AIMGridN,
-		AIMTimeStep:   cfg.AIMTimeStep,
-		Params:        cfg.PolicyParams,
-	}
-	// One IM shard per topology node, each with its own scheduler state and
-	// RNG stream (node 0 keeps the classic Seed+2 stream), all sharing the
-	// kernel and the V2I network.
-	nodes := make([]worldNode, numNodes)
-	for k := range nodes {
 		nodeCol := col
-		if numNodes > 1 {
+		if len(w.nodes) > 1 {
 			nodeCol = metrics.NewCollector()
 		}
-		rngIM := rand.New(rand.NewSource(cfg.Seed + 2 + 1000*int64(k)))
-		sched, err := im.NewScheduler(cfg.Policy.String(), x, opts, rngIM)
+		srv, err := im.NewNode(sim, net, cfg.Policy.String(), s.x, s.opts, cfg.Seed, k, nodeCol)
 		if err != nil {
 			return nil, err
 		}
-		nodes[k] = worldNode{
-			server: im.NewServerAt(sim, net, sched, nodeCol, im.NodeEndpoint(k), k),
-			col:    nodeCol,
+		if s.coord != nil {
+			srv.EnableTopologyCoordination(*s.coord, cfg.Topology)
 		}
-	}
-
-	if cfg.Coord && numNodes > 1 {
-		ccfg := coordConfigFor(&cfg, arrivals, x, 0)
-		for k := range nodes {
-			peers, downstream := coordPeersFor(cfg.Topology, k)
-			nodes[k].server.EnableCoordination(ccfg, peers, downstream)
+		if cfg.Trace != nil {
+			srv.SetTrace(cfg.Trace)
 		}
+		w.nodes[k] = worldNode{server: srv, col: nodeCol}
 	}
-
-	refParams := arrivals[0].Params
-	for _, a := range arrivals {
-		if a.Params.Length > refParams.Length {
-			refParams = a.Params
-		}
-	}
-	agentCfg := vehicle.DeriveConfig(cfg.Policy, cfg.Spec, refParams)
-	if cfg.Policy == vehicle.PolicyBatch {
-		// Batch replies are held for the re-organization window; budget
-		// the retransmission timeout and the command latency accordingly.
-		agentCfg.ResponseTimeout = batch.DefaultConfig().Window + cfg.Spec.WorstRTD + 0.05
-		agentCfg.CommandLatency = batch.DefaultConfig().Window + cfg.Spec.WorstRTD
-	}
-	if cfg.AgentOverrides != nil {
-		agentCfg = *cfg.AgentOverrides
-	}
-	// Tracing is wired after overrides so a caller-supplied agent config
-	// cannot silently detach the run's recorder.
-	agentCfg.Trace = cfg.Trace
-	if cfg.Faults != nil {
-		// The grant-expiry failsafe is armed only under fault injection
-		// (also after overrides): a positive TTL changes vehicle control
-		// flow, and clean runs must stay byte-identical to a fault-free
-		// build.
-		agentCfg.GrantTTL = cfg.Faults.ResolvedGrantTTL()
-	}
-
-	// The safety contract checked at runtime is on sensing-buffered
-	// footprints for every policy: the RTD buffer is a *planning* margin
-	// that absorbs execution-time deviation, so actual footprints inflated
-	// by sensing+sync error must stay disjoint — that is what the paper's
-	// buffers exist to guarantee.
-	buffers := cfg.Spec.ForCrossroads()
-
 	if cfg.Trace != nil {
 		// Layers without a clock (the reservation book) stamp events via
 		// the recorder's injected clock.
 		cfg.Trace.Now = sim.Now
 		net.SetTrace(cfg.Trace)
-		for k := range nodes {
-			nodes[k].server.SetTrace(cfg.Trace)
-		}
 		if cfg.TraceDES {
 			sim.SetTrace(cfg.Trace)
 		}
 	}
-
 	if cfg.Faults != nil {
-		// The injector owns the Seed+6 stream; every server arms lease
-		// expiry so a vehicle that vanishes mid-handshake is pruned instead
-		// of blocking its lane FIFO forever. Window open/close events are
-		// scheduled on the kernel: stalls toggle the target server, and
-		// every window's edges land in the trace.
-		net.SetInjector(fault.NewInjector(cfg.Faults, rand.New(rand.NewSource(cfg.Seed+6))))
-		for k := range nodes {
-			nodes[k].server.EnableLeaseExpiry(cfg.Faults.ResolvedLeaseTTL())
-		}
-		for _, fw := range cfg.Faults.Windows {
-			fw := fw
-			sim.At(fw.Start, func() {
-				if fw.Kind == fault.Stall {
-					nodes[fw.Node].server.SetStalled(true)
-				}
-				if cfg.Trace != nil {
-					cfg.Trace.Emit(trace.Event{
-						Kind: trace.KindFaultBegin, T: sim.Now(), Node: fw.Node,
-						Detail: fw.Kind.String(),
-					})
-				}
-			})
-			sim.At(fw.End(), func() {
-				if fw.Kind == fault.Stall {
-					nodes[fw.Node].server.SetStalled(false)
-				}
-				if cfg.Trace != nil {
-					cfg.Trace.Emit(trace.Event{
-						Kind: trace.KindFaultEnd, T: sim.Now(), Node: fw.Node,
-						Detail: fw.Kind.String(),
-					})
-				}
-			})
+		w.armFaults()
+	}
+	return w, nil
+}
+
+// armFaults wires the fault schedule into the world: the injector on its
+// network, lease expiry on every IM it hosts (so a vehicle that vanishes
+// mid-handshake is pruned instead of blocking its lane FIFO forever), and
+// the edges of every window it owns. A stall toggles its target node's
+// server, so it belongs to the world hosting that node; the other kinds
+// have no per-node side effect and belong to node 0's world. Every
+// window's edges land in the trace.
+func (w *world) armFaults() {
+	f := w.cfg.Faults
+	w.net.SetInjector(fault.NewInjector(f, im.NodeStream(w.cfg.Seed, im.StreamFault, w.shardIdx)))
+	for _, n := range w.nodes {
+		if n.server != nil {
+			n.server.EnableLeaseExpiry(f.ResolvedLeaseTTL())
 		}
 	}
+	for _, fw := range f.Windows {
+		home := 0
+		if fw.Kind == fault.Stall {
+			home = fw.Node
+		}
+		srv := w.nodes[home].server
+		if srv == nil {
+			continue
+		}
+		edge := func(t float64, kind string, stalled bool) {
+			w.sim.At(t, func() {
+				if fw.Kind == fault.Stall {
+					srv.SetStalled(stalled)
+				}
+				if w.cfg.Trace != nil {
+					w.cfg.Trace.Emit(trace.Event{
+						Kind: kind, T: w.sim.Now(), Node: fw.Node, Detail: fw.Kind.String(),
+					})
+				}
+			})
+		}
+		edge(fw.Start, trace.KindFaultBegin, true)
+		edge(fw.End(), trace.KindFaultEnd, false)
+	}
+}
 
-	return &world{
-		cfg:         cfg,
-		arrivals:    arrivals,
-		sim:         sim,
-		net:         net,
-		x:           x,
-		topo:        cfg.Topology,
-		nodes:       nodes,
-		col:         col,
-		rngClock:    rand.New(rand.NewSource(cfg.Seed + 3)),
-		rngPlant:    rand.New(rand.NewSource(cfg.Seed + 4)),
-		agentCfg:    agentCfg,
-		buffers:     buffers,
-		overlapping: make(map[[2]int64]bool),
-		bufOverlap:  make(map[[2]int64]bool),
-	}, nil
+// runHorizon is the run's simulated-time cap: MaxSimTime, or one derived
+// from the workload — a per-leg allowance growing with the fleet, the
+// inter-node segments, and under faults the whole scripted period, so
+// recovery is observable.
+func runHorizon(cfg *Config, arrivals []traffic.Arrival) float64 {
+	if cfg.MaxSimTime > 0 {
+		return cfg.MaxSimTime
+	}
+	maxLegs := 1
+	for _, a := range arrivals {
+		maxLegs = max(maxLegs, 1+len(a.OnwardTurns))
+	}
+	perLeg := 60 + 3*float64(len(arrivals))
+	t := arrivals[len(arrivals)-1].Time + perLeg*float64(maxLegs) +
+		float64(maxLegs-1)*cfg.Topology.SegmentLen()
+	if cfg.Faults != nil {
+		t += cfg.Faults.End()
+	}
+	return t
+}
+
+// result assembles a Result from a finished run's accounting: network
+// totals and, on multi-node runs, every node's scheduler and safety
+// counters folded into the journey collector (single-node runs share it,
+// so there is nothing to fold), plus one summary per node.
+func result(k Kernel, col *metrics.Collector, nodes []worldNode, st network.Stats) Result {
+	col.Messages = st.Sent
+	col.Bytes = st.Bytes
+	if len(nodes) > 1 {
+		for _, n := range nodes {
+			col.AbsorbCounters(n.col)
+		}
+	}
+	var vehicles []metrics.VehicleRecord
+	for _, r := range col.Records() {
+		vehicles = append(vehicles, *r)
+	}
+	perNode := make([]metrics.Summary, len(nodes))
+	for i, n := range nodes {
+		perNode[i] = n.col.Summarize()
+	}
+	return Result{
+		Policy:   nodes[0].server.Scheduler().Name(),
+		Kernel:   k.String(),
+		Summary:  col.Summarize(),
+		Network:  st,
+		Vehicles: vehicles,
+		PerNode:  perNode,
+	}
+}
+
+// countUnfinished adds the vehicles of vs that never finished their
+// journey to r.Incomplete. One that ends the run standing still on the
+// approach, short of the box, degraded gracefully (FailsafeStopped);
+// anything else — still moving, in transit between nodes, or caught
+// inside the box — is Stranded.
+func (r *Result) countUnfinished(vs []*vehState) {
+	for _, v := range vs {
+		if v.jrec.Done {
+			continue
+		}
+		r.Incomplete++
+		if !v.transit && !v.entered && v.plant.V() < 0.05 {
+			r.FailsafeStopped++
+		} else {
+			r.Stranded++
+		}
+	}
 }
 
 func (w *world) run() (Result, error) {
-	maxLegs := 1
 	for _, a := range w.arrivals {
-		a := a
 		w.sim.At(a.Time, func() { w.spawn(a) })
-		if n := 1 + len(a.OnwardTurns); n > maxLegs {
-			maxLegs = n
-		}
-	}
-	maxTime := w.cfg.MaxSimTime
-	if maxTime <= 0 {
-		perLeg := 60 + 3*float64(len(w.arrivals))
-		maxTime = w.arrivals[len(w.arrivals)-1].Time + perLeg*float64(maxLegs) +
-			float64(maxLegs-1)*w.topo.SegmentLen()
-		if w.cfg.Faults != nil {
-			// Fault windows delay the fleet; give the derived horizon the
-			// whole scripted period back so recovery is observable.
-			maxTime += w.cfg.Faults.End()
-		}
 	}
 	dt := w.cfg.PhysicsDt
 	stop := w.sim.Ticker(w.arrivals[0].Time, dt, func() bool {
 		w.step(dt)
 		return w.spawned < len(w.arrivals) || len(w.active) > 0
 	})
-	w.sim.RunUntil(maxTime)
+	w.sim.RunUntil(runHorizon(&w.cfg, w.arrivals))
 	stop()
 
-	incomplete := 0
-	failsafe := 0
-	stranded := 0
-	for _, v := range w.active {
-		if v.jrec.Done {
-			continue
-		}
-		incomplete++
-		// A vehicle that ends the run standing still on the approach, short
-		// of the box, degraded gracefully; anything else — still moving, in
-		// transit between nodes, or caught inside the box — is stranded.
-		if !v.transit && !v.entered && v.plant.V() < 0.05 {
-			failsafe++
-		} else {
-			stranded++
-		}
-	}
-	st := w.net.TotalStats()
-	w.col.Messages = st.Sent
-	w.col.Bytes = st.Bytes
-	if len(w.nodes) > 1 {
-		// Fold the per-node scheduler and safety counters into the journey
-		// view (single-node runs share the collector, so there is nothing
-		// to fold).
-		for _, n := range w.nodes {
-			w.col.AbsorbCounters(n.col)
-		}
-	}
-	var vehicles []metrics.VehicleRecord
-	for _, r := range w.col.Records() {
-		vehicles = append(vehicles, *r)
-	}
-	perNode := make([]metrics.Summary, len(w.nodes))
-	for k := range w.nodes {
-		perNode[k] = w.nodes[k].col.Summarize()
-	}
-	return Result{
-		Policy:          w.nodes[0].server.Scheduler().Name(),
-		Kernel:          KernelSerial.String(),
-		Summary:         w.col.Summarize(),
-		Network:         st,
-		Vehicles:        vehicles,
-		PerNode:         perNode,
-		Incomplete:      incomplete,
-		FailsafeStopped: failsafe,
-		Stranded:        stranded,
-	}, nil
+	res := result(KernelSerial, w.col, w.nodes, w.net.TotalStats())
+	res.countUnfinished(w.active)
+	return res, nil
 }
 
 // route resolves an arrival's turn list against the topology.

@@ -63,7 +63,8 @@ var (
 
 // Simulation construction and execution.
 type (
-	// SimConfig describes one simulation run; build it with NewSimConfig.
+	// SimConfig describes one simulation run; build it with NewSimConfig
+	// or as a struct literal (RunSim validates it either way).
 	SimConfig = sim.Config
 	// SimOption mutates a SimConfig under construction.
 	SimOption = sim.Option
