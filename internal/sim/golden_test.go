@@ -35,6 +35,9 @@ func goldenCases() []goldenCase {
 		{Name: "scenario4-vtim-noisy", Policy: vehicle.PolicyVTIM, Seed: 5, Noisy: true, Scenario: 4},
 		{Name: "poisson-aim-lossy", Policy: vehicle.PolicyAIM, Seed: 9, LossProb: 0.02, Rate: 0.6, Vehicles: 24},
 		{Name: "poisson-batch", Policy: vehicle.PolicyBatch, Seed: 3, Rate: 0.4, Vehicles: 16},
+		{Name: "poisson-dot-noisy", Policy: vehicle.PolicyDOT, Seed: 7, Noisy: true, Rate: 0.6, Vehicles: 24},
+		{Name: "poisson-signalized", Policy: vehicle.PolicySignalized, Seed: 5, Rate: 0.4, Vehicles: 16},
+		{Name: "poisson-auction-noisy", Policy: vehicle.PolicyAuction, Seed: 3, Noisy: true, Rate: 0.4, Vehicles: 24},
 	}
 }
 
