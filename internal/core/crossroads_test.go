@@ -210,3 +210,39 @@ func TestLatestArrivalNoDwellBound(t *testing.T) {
 		t.Errorf("latest %v before earliest %v", got, te+earliest)
 	}
 }
+
+func TestRevisionPushUsesSpecWorstRTD(t *testing.T) {
+	x, err := intersection.New(intersection.ScaleModelConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.Cost.Jitter = 0
+	cfg.Spec.WorstRTD = 0.3
+	s, err := New(x, cfg, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	north, _ := s.HandleRequest(0.05, req(1, 1, intersection.North, 0.04, 3.0, 3.0))
+	if north.Kind != im.RespTimed {
+		t.Fatalf("north response = %+v", north)
+	}
+	// A committed east vehicle reports its truth; its crossing lands on
+	// the north grant, which must be revised by a command executing one
+	// spec WC-RTD after the revision is computed.
+	east := req(2, 1, intersection.East, 0.20, 0.3, 3.0)
+	east.Committed = true
+	const now = 0.22
+	s.HandleRequest(now, east)
+	pushes := s.TakePushes()
+	if len(pushes) != 1 || pushes[0].VehicleID != 1 {
+		t.Fatalf("pushes = %+v, want one revision of vehicle 1", pushes)
+	}
+	got := pushes[0].Resp
+	if got.Kind != im.RespTimed || math.Abs(got.ExecuteAt-(now+0.3)) > 1e-12 {
+		t.Errorf("revision executes at %v, want now+WorstRTD = %v", got.ExecuteAt, now+0.3)
+	}
+	if got.ArriveAt <= north.ArriveAt {
+		t.Errorf("revised ToA %v not after the original %v", got.ArriveAt, north.ArriveAt)
+	}
+}

@@ -184,24 +184,6 @@ func TestAIMExitMergeSeparation(t *testing.T) {
 	}
 }
 
-func TestExitSeparated(t *testing.T) {
-	a := exitCrossing{time: 10, speed: 3, planLen: 0.724}
-	b := exitCrossing{time: 10.1, speed: 3, planLen: 0.724}
-	if exitSeparated(a, b, 1.5) {
-		t.Error("0.1 s apart at 3 m/s should not be separated")
-	}
-	c := exitCrossing{time: 12, speed: 3, planLen: 0.724}
-	if !exitSeparated(a, c, 1.5) {
-		t.Error("2 s apart should be separated")
-	}
-	// Faster follower needs the catch-up margin.
-	fast := exitCrossing{time: 10.4, speed: 3, planLen: 0.724}
-	slowLead := exitCrossing{time: 10, speed: 0.8, planLen: 0.724}
-	if exitSeparated(slowLead, fast, 1.5) {
-		t.Error("fast follower behind slow leader should need more margin")
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	x, _ := intersection.New(intersection.ScaleModelConfig())
 	cfg := DefaultConfig()

@@ -23,7 +23,6 @@ import (
 
 	"crossroads/internal/im"
 	"crossroads/internal/intersection"
-	"crossroads/internal/kinematics"
 	"crossroads/internal/safety"
 	"crossroads/internal/trace"
 )
@@ -94,7 +93,9 @@ type Scheduler struct {
 	rng   *rand.Rand
 	order *im.LaneOrder
 
-	buffers   safety.Buffers
+	buffers safety.Buffers
+	// lip is the reference body's conflict-zone lip (safety.Spec.Lip).
+	lip       float64
 	seniority map[int64]int64
 	nextSen   int64
 
@@ -131,6 +132,7 @@ func New(x *intersection.Intersection, cfg Config, rng *rand.Rand) (*Scheduler, 
 		rng:       rng,
 		order:     im.NewLaneOrder(),
 		buffers:   buffers,
+		lip:       cfg.Spec.Lip(cfg.RefLength, cfg.RefWidth),
 		seniority: make(map[int64]int64),
 	}, nil
 }
@@ -232,33 +234,16 @@ func (s *Scheduler) schedule(now float64, req im.Request) im.Response {
 		}
 	}
 
-	vc := math.Min(math.Max(req.CurrentSpeed, 0), req.Params.MaxSpeed)
 	te := req.TransmitTime + s.cfg.Window + s.cfg.Spec.WorstRTD
 	if req.Committed {
 		// Corrections bypass the window.
 		te = req.TransmitTime + s.cfg.Spec.WorstRTD
 	}
-	de := math.Max(req.DistToEntry-vc*(te-req.TransmitTime), 0)
-	etaDelay, vEarliest, _ := kinematics.EarliestArrival(te, de, vc, req.Params)
-	earliest := math.Max(te+etaDelay, floor)
-	if vEarliest < s.cfg.MinCrossSpeed {
-		vEarliest = s.cfg.MinCrossSpeed
-	}
+	anchor := im.NewAnchor(req, te)
+	earliest, vEarliest := anchor.Earliest(s.cfg.MinCrossSpeed)
+	earliest = math.Max(earliest, floor)
 	planFor := func(toa float64) im.CrossingPlan {
-		vArr := vEarliest
-		prof, perr := kinematics.PlanArrival(te, de, vc, toa, req.Params)
-		if perr != nil {
-			_, _, prof = kinematics.EarliestArrival(te, de, vc, req.Params)
-		} else if toa > earliest+1e-6 {
-			vArr = prof.VelocityAt(prof.TimeAtDistance(de))
-			if vArr < s.cfg.MinCrossSpeed {
-				vArr = s.cfg.MinCrossSpeed
-			}
-		}
-		plan := im.AccelPlan(toa, vArr, req.Params.MaxSpeed, req.Params.MaxAccel)
-		plan.Approach = prof
-		plan.ApproachDist = de
-		return plan
+		return anchor.PlanAt(toa, earliest, vEarliest, s.cfg.MinCrossSpeed)
 	}
 	planLen := req.Params.Length + 2*s.buffers.Long
 	toa, plan, err := s.book.EarliestFeasible(req.VehicleID, sen, req.Movement, planLen, earliest, planFor)
@@ -270,19 +255,15 @@ func (s *Scheduler) schedule(now float64, req im.Request) im.Response {
 		// A committed vehicle's crossing happens within its physical
 		// window no matter what: clamp the booking to the latest arrival
 		// it can still realize so the book reflects the truth.
-		if latest := s.latestArrival(te, de, vc, req.Params); toa > latest {
+		if latest, _ := anchor.Latest(s.lip, s.cfg.MinCrossSpeed); toa > latest {
 			toa = latest
 			plan = planFor(toa)
 		}
 	}
-	reachable := true
-	if prof, perr := kinematics.PlanArrival(te, de, vc, toa, req.Params); perr == nil &&
-		math.Abs(prof.TimeAtDistance(de)-toa) > 0.05 {
-		reachable = false
-	}
-	if !req.Committed && (!reachable || !s.dwellClearsLip(te, de, vc, toa, req.Params)) {
-		// The approach plan would park inside the conflict-zone lip: hold
-		// the slot as a placeholder and command a stop instead.
+	if !req.Committed && !anchor.Verify(toa, s.lip) {
+		// The slot is unreachable or its approach would park inside the
+		// conflict-zone lip: hold the slot as a placeholder and command a
+		// stop instead.
 		hold := plan
 		if min := 0.25 * req.Params.MaxSpeed; hold.EntrySpeed < min {
 			hold = im.AccelPlan(toa, min, req.Params.MaxSpeed, req.Params.MaxAccel)
@@ -313,45 +294,7 @@ func (s *Scheduler) schedule(now float64, req im.Request) im.Response {
 		fmt.Printf("[%.2f] batch veh%d GRANT toa=%.3f ventry=%.2f te=%.3f committed=%v\n",
 			now, req.VehicleID, toa, plan.EntrySpeed, te, req.Committed)
 	}
-	return im.Response{
-		Kind:        im.RespTimed,
-		TargetSpeed: plan.EntrySpeed,
-		ExecuteAt:   te,
-		ArriveAt:    toa,
-	}
-}
-
-// latestArrival returns the latest arrival *safely* reachable from the
-// request state: infinite when the vehicle can still wait behind the lip,
-// else the deepest no-dwell dip floored at the minimum crossing speed.
-// A stop-and-dwell plan past the lip's stopping point would park the nose
-// inside crossing movements' conflict zones, so dwells don't count.
-func (s *Scheduler) latestArrival(te, de, vc float64, params kinematics.Params) float64 {
-	lip := s.cfg.RefWidth/2 + 2*s.cfg.Spec.SensingBuffer() + 0.05 + s.cfg.RefLength/2
-	if params.StoppingDistance(vc) < de-lip {
-		return math.Inf(1)
-	}
-	eta, ok := kinematics.LatestNoDwell(de, vc, s.cfg.MinCrossSpeed, params)
-	if !ok {
-		return te
-	}
-	return te + eta
-}
-
-// dwellClearsLip reports whether the dip plan for (te, de, vc, toa) keeps
-// any future dwell behind the conflict-zone lip, mirroring the Crossroads
-// scheduler's check.
-func (s *Scheduler) dwellClearsLip(te, de, vc, toa float64, params kinematics.Params) bool {
-	prof, err := kinematics.PlanArrival(te, de, vc, toa, params)
-	if err != nil {
-		return true // earliest-arrival grants never dwell
-	}
-	minV, remaining := kinematics.SlowestPoint(prof, de)
-	if minV >= 0.3 || remaining >= de-1e-6 {
-		return true
-	}
-	lip := s.cfg.RefWidth/2 + 2*s.cfg.Spec.SensingBuffer() + 0.05 + s.cfg.RefLength/2
-	return remaining >= lip-1e-6
+	return anchor.Grant(toa, plan)
 }
 
 // TakePushes implements im.Pusher: drain pending revisions.

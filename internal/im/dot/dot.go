@@ -13,10 +13,15 @@
 // free tiles — so the policy composes tile-granularity admission with
 // time-sensitive actuation.
 //
+// Planning — the TE anchor, the latest safe arrival, the lip-dwell check
+// and the approach plan — goes through the shared im.Anchor, and the
+// swept footprint and exit-merge rule through the tile model AIM uses
+// (im.TileFootprint, im.ExitSeparated).
+//
 // A committed vehicle (past its point of no return) is booked at its
 // truthful max-acceleration arrival unconditionally; any grants its
 // footprint now overlaps are revised onto later conflict-free slots and
-// pushed to their vehicles, mirroring the Crossroads revision cascade.
+// pushed to their vehicles.
 package dot
 
 import (
@@ -24,7 +29,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"crossroads/internal/geom"
 	"crossroads/internal/im"
 	"crossroads/internal/intersection"
 	"crossroads/internal/kinematics"
@@ -71,21 +75,9 @@ func DefaultConfig() Config {
 type grant struct {
 	movement intersection.MovementID
 	params   kinematics.Params
-	toa      float64
 	res      im.Reservation
-	planLen  float64
 	steps    map[int64][]int
-	exit     exitCrossing
-}
-
-// exitCrossing records when and how fast a granted crossing leaves the
-// box, for the same exit-merge separation rule AIM uses.
-type exitCrossing struct {
-	exit    intersection.Approach
-	lane    int
-	time    float64
-	speed   float64
-	planLen float64
+	exit     im.ExitCrossing
 }
 
 // Scheduler is the dot intersection manager for one node.
@@ -141,13 +133,6 @@ func stop() im.Response {
 	return im.Response{Kind: im.RespVelocity, TargetSpeed: 0}
 }
 
-// lipFor is how far before the box entry (center-to-entry) a plan may
-// dwell or crawl; closer and the waiting nose would poke into crossing
-// footprints the pre-entry model cannot represent.
-func (s *Scheduler) lipFor(p kinematics.Params) float64 {
-	return p.Width/2 + 2*s.cfg.Spec.SensingBuffer() + 0.05 + p.Length/2
-}
-
 // HandleRequest implements im.Scheduler: anchor the request at TE, scan
 // candidate arrivals over the tile grid, and command the first fit.
 func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, float64) {
@@ -164,9 +149,7 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 
 	// Time-sensitive anchoring (Crossroads Chapter 6): plan from TE where
 	// the position is deterministic.
-	vc := math.Min(math.Max(req.CurrentSpeed, 0), req.Params.MaxSpeed)
-	te := req.TransmitTime + s.wcRTD
-	de := math.Max(req.DistToEntry-vc*(te-req.TransmitTime), 0)
+	a := im.NewAnchor(req, req.TransmitTime+s.wcRTD)
 
 	// Lane FIFO: never schedule past an unbooked leader, and never ahead
 	// of a booked one — a rear grant would starve the queue head it
@@ -182,210 +165,101 @@ func (s *Scheduler) HandleRequest(now float64, req im.Request) (im.Response, flo
 			s.Stops++
 			return stop(), s.cfg.Cost.SimulationCost(s.rng, 1)
 		}
-		if g.toa > floor {
-			floor = g.toa
+		if g.res.ToA > floor {
+			floor = g.res.ToA
 		}
 	}
 
-	etaDelay, vEarliest, _ := kinematics.EarliestArrival(te, de, vc, req.Params)
-	earliest := te + etaDelay
-	if vEarliest < s.cfg.MinCrossSpeed {
-		vEarliest = s.cfg.MinCrossSpeed
-	}
-	if floor+s.scanStep > earliest {
-		earliest = floor + s.scanStep
-	}
-	if req.MinArrival > earliest {
-		earliest = req.MinArrival
-	}
-
+	first, vEarliest := a.Earliest(s.cfg.MinCrossSpeed)
 	if req.Committed {
 		// The crossing is a physical fact: book the truthful arrival
 		// unconditionally and push any displaced grants onto later slots.
-		toa := te + etaDelay
-		plan := s.buildPlan(te, de, vc, toa, toa, vEarliest, req.Params)
-		steps, candExit, n := s.footprint(m, req.Params, toa, plan)
-		s.res.Reserve(req.VehicleID, steps)
-		s.grants[req.VehicleID] = &grant{
-			movement: req.Movement, params: req.Params, toa: toa,
-			res:     im.Reservation{ToA: toa, Plan: plan},
-			planLen: candExit.planLen, steps: steps, exit: candExit,
-		}
+		plan := a.PlanAt(first, first, vEarliest, s.cfg.MinCrossSpeed)
+		steps, exit, n := s.footprint(m, req.Params, first, plan)
+		s.hold(req.VehicleID, &grant{
+			movement: req.Movement, params: req.Params,
+			res: im.Reservation{ToA: first, Plan: plan}, steps: steps, exit: exit,
+		})
 		s.reviseVictims(now, req.VehicleID, steps)
-		return im.Response{
-			Kind:        im.RespTimed,
-			TargetSpeed: plan.EntrySpeed,
-			ExecuteAt:   te,
-			ArriveAt:    toa,
-		}, s.cfg.Cost.SimulationCost(s.rng, n)
+		return a.Grant(first, plan), s.cfg.Cost.SimulationCost(s.rng, n)
 	}
+	earliest := math.Max(math.Max(first, floor+s.scanStep), req.MinArrival)
 
 	// Stop-capability bound: past the lip's stopping point there is no
 	// safe waiting position, so arrivals beyond the deepest no-dwell dip
 	// are unrealizable.
-	latest := math.Inf(1)
-	lip := s.lipFor(req.Params)
-	if req.Params.StoppingDistance(vc) >= de-lip {
-		if eta, ok := kinematics.LatestNoDwell(de, vc, s.cfg.MinCrossSpeed, req.Params); ok {
-			latest = te + eta
-		} else {
-			latest = te
-		}
-	}
+	lip := s.cfg.Spec.Lip(req.Params.Length, req.Params.Width)
+	latest, _ := a.Latest(lip, s.cfg.MinCrossSpeed)
 
-	toa, plan, steps, candExit, n, ok := s.findSlot(m, req.VehicleID, req.Params, te, de, vc, earliest, latest, vEarliest)
+	toa, plan, steps, exit, n, ok := s.findSlot(m, req.VehicleID, a, lip, earliest, latest, vEarliest)
 	cost := s.cfg.Cost.SimulationCost(s.rng, n)
 	if !ok {
 		s.Stops++
 		return stop(), cost
 	}
-	s.res.Reserve(req.VehicleID, steps)
-	s.grants[req.VehicleID] = &grant{
-		movement: req.Movement, params: req.Params, toa: toa,
-		res:     im.Reservation{ToA: toa, Plan: plan},
-		planLen: candExit.planLen, steps: steps, exit: candExit,
-	}
+	s.hold(req.VehicleID, &grant{
+		movement: req.Movement, params: req.Params,
+		res: im.Reservation{ToA: toa, Plan: plan}, steps: steps, exit: exit,
+	})
 	s.Grants++
 	s.res.PruneBefore(int64(math.Floor((now - 5) / s.cfg.TimeStep)))
-	return im.Response{
-		Kind:        im.RespTimed,
-		TargetSpeed: plan.EntrySpeed,
-		ExecuteAt:   te,
-		ArriveAt:    toa,
-	}, cost
+	return a.Grant(toa, plan), cost
+}
+
+// hold reserves a grant's footprint and records it as the vehicle's live
+// grant.
+func (s *Scheduler) hold(id int64, g *grant) {
+	s.res.Reserve(id, g.steps)
+	s.grants[id] = g
 }
 
 // findSlot scans candidate arrivals in scanStep quanta from earliest and
 // returns the first whose approach is realizable, whose exit clears the
 // merge rule, and whose swept footprint fits the free tiles. Excluded
 // grants (the requester itself) are skipped in the exit check.
-func (s *Scheduler) findSlot(m *intersection.Movement, self int64, p kinematics.Params, te, de, vc, earliest, latest, vEarliest float64) (float64, im.CrossingPlan, map[int64][]int, exitCrossing, int, bool) {
-	lip := s.lipFor(p)
+func (s *Scheduler) findSlot(m *intersection.Movement, self int64, a im.Anchor, lip, earliest, latest, vEarliest float64) (float64, im.CrossingPlan, map[int64][]int, im.ExitCrossing, int, bool) {
 	end := math.Min(latest, earliest+s.cfg.Horizon)
 	n := 0
 	for cand := earliest; cand <= end+1e-9; cand += s.scanStep {
 		toa := math.Min(cand, latest)
-		if !s.realizable(te, de, vc, toa, lip, p) {
+		if !a.Verify(toa, lip) {
 			// Later candidates dip deeper still: command a stop instead.
 			break
 		}
-		plan := s.buildPlan(te, de, vc, toa, earliest, vEarliest, p)
-		steps, candExit, samples := s.footprint(m, p, toa, plan)
+		plan := a.PlanAt(toa, earliest, vEarliest, s.cfg.MinCrossSpeed)
+		steps, exit, samples := s.footprint(m, a.Params, toa, plan)
 		n += samples
-		if !s.exitClear(self, candExit) {
+		if !s.exitClear(self, exit) {
 			continue
 		}
 		if s.res.Available(steps) {
-			return toa, plan, steps, candExit, n, true
+			return toa, plan, steps, exit, n, true
 		}
 	}
-	return 0, im.CrossingPlan{}, nil, exitCrossing{}, n + 1, false
+	return 0, im.CrossingPlan{}, nil, im.ExitCrossing{}, n + 1, false
 }
 
-// realizable mirrors the Crossroads slot verifier: the approach plan must
-// actually reach toa and must not dwell (or crawl below 0.3 m/s) within
-// the lip of the box.
-func (s *Scheduler) realizable(te, de, vc, toa, lip float64, p kinematics.Params) bool {
-	prof, err := kinematics.PlanArrival(te, de, vc, toa, p)
-	if err != nil {
-		return true // earliest-arrival plans never dwell
-	}
-	if math.Abs(prof.TimeAtDistance(de)-toa) > 0.05 {
-		return false
-	}
-	minV, remaining := kinematics.SlowestPoint(prof, de)
-	if minV >= 0.3 {
-		return true
-	}
-	if remaining >= de-1e-6 {
-		return true // the slow point is the start: the vehicle already stands there
-	}
-	return remaining >= lip-1e-6
-}
-
-// buildPlan mirrors the Crossroads planner: arrive at toa at the dip's
-// arrival speed, then accelerate to top speed through the box, recording
-// the approach profile for later revision.
-func (s *Scheduler) buildPlan(te, de, vc, toa, earliest, vEarliest float64, p kinematics.Params) im.CrossingPlan {
-	vArr := vEarliest
-	prof, err := kinematics.PlanArrival(te, de, vc, toa, p)
-	if err != nil {
-		_, _, prof = kinematics.EarliestArrival(te, de, vc, p)
-	} else if toa > earliest+1e-6 {
-		vArr = prof.VelocityAt(prof.TimeAtDistance(de))
-		if vArr < s.cfg.MinCrossSpeed {
-			vArr = s.cfg.MinCrossSpeed
-		}
-	}
-	plan := im.AccelPlan(toa, vArr, p.MaxSpeed, p.MaxAccel)
-	plan.Approach = prof
-	plan.ApproachDist = de
-	return plan
-}
-
-// footprint simulates the box crossing and returns its (step -> tiles)
-// occupancy map, its exit crossing, and the sample count for the cost
-// model. The same one-step slack AIM claims absorbs tracking tolerance.
-func (s *Scheduler) footprint(m *intersection.Movement, p kinematics.Params, toa float64, plan im.CrossingPlan) (map[int64][]int, exitCrossing, int) {
+// footprint returns the crossing's (step -> tiles) occupancy map, its exit
+// crossing, and the sample count for the cost model.
+func (s *Scheduler) footprint(m *intersection.Movement, p kinematics.Params, toa float64, plan im.CrossingPlan) (map[int64][]int, im.ExitCrossing, int) {
 	planLen, planWid := s.buffers.InflatedDims(p.Length, p.Width)
 	cross := im.Reservation{ToA: toa, Plan: plan}
-	arcStart := -planLen / 2
-	arcEnd := m.InsideLen() + planLen/2
-	steps := make(map[int64][]int)
-	n := 0
-	tEnd := cross.TimeAtArc(arcEnd)
-	for t := cross.TimeAtArc(arcStart); t <= tEnd; t += s.cfg.TimeStep {
-		arc := cross.ArcAtTime(t)
-		pose := m.Path.PoseAt(m.EnterS + arc)
-		rect := geom.NewRect(pose.Pos, planLen, planWid, pose.Heading)
-		tiles := s.grid.TilesFor(rect)
-		n++
-		if len(tiles) == 0 {
-			continue
-		}
-		step := int64(math.Floor(t / s.cfg.TimeStep))
-		for d := int64(-1); d <= 2; d++ {
-			steps[step+d] = appendUnique(steps[step+d], tiles)
-		}
-	}
-	ex := exitCrossing{
-		exit:    m.Exit,
-		lane:    m.ID.Lane,
-		time:    cross.TimeAtArc(m.InsideLen()),
-		speed:   cross.SpeedAtArc(m.InsideLen()),
-		planLen: planLen,
-	}
-	return steps, ex, n
+	steps, n := im.TileFootprint(s.grid, m, cross, planLen, planWid, s.cfg.TimeStep)
+	return steps, im.ExitOf(m, cross, planLen), n
 }
 
 // exitClear checks the candidate exit against every live same-exit-lane
 // grant (except self).
-func (s *Scheduler) exitClear(self int64, cand exitCrossing) bool {
+func (s *Scheduler) exitClear(self int64, cand im.ExitCrossing) bool {
 	for id, g := range s.grants {
-		if id == self || g.exit.exit != cand.exit || g.exit.lane != cand.lane {
+		if id == self || g.exit.Exit != cand.Exit || g.exit.Lane != cand.Lane {
 			continue
 		}
-		if !exitSeparated(cand, g.exit, s.x.Config().ExitLen) {
+		if !im.ExitSeparated(cand, g.exit, s.x.Config().ExitLen) {
 			return false
 		}
 	}
 	return true
-}
-
-// exitSeparated reports whether two same-exit-lane crossings are ordered
-// with enough margin: their exit-point passages must not overlap, and
-// when the later one is faster it additionally needs the catch-up time
-// over the exit road.
-func exitSeparated(a, b exitCrossing, exitLen float64) bool {
-	first, second := a, b
-	if b.time < a.time {
-		first, second = b, a
-	}
-	margin := (first.planLen/first.speed + second.planLen/second.speed) / 2
-	if second.speed > first.speed {
-		margin += exitLen * (1/first.speed - 1/second.speed)
-	}
-	return second.time-first.time >= margin
 }
 
 // reviseVictims pushes every grant the cause's footprint overlaps onto a
@@ -413,40 +287,27 @@ func (s *Scheduler) reviseVictims(now float64, cause int64, causeSteps map[int64
 		if m == nil {
 			continue
 		}
-		lip := s.lipFor(g.params)
-		latest := math.Inf(1)
-		if g.params.StoppingDistance(speed) >= remaining-lip {
-			eta, okDip := kinematics.LatestNoDwell(remaining, speed, s.cfg.MinCrossSpeed, g.params)
-			if !okDip {
-				continue
-			}
-			latest = te + eta
+		a := im.Anchor{TE: te, DE: remaining, VC: speed, Params: g.params}
+		lip := s.cfg.Spec.Lip(g.params.Length, g.params.Width)
+		latest, ok := a.Latest(lip, s.cfg.MinCrossSpeed)
+		if !ok {
+			continue
 		}
-		etaDelay, vEarliest, _ := kinematics.EarliestArrival(te, remaining, speed, g.params)
-		if vEarliest < s.cfg.MinCrossSpeed {
-			vEarliest = s.cfg.MinCrossSpeed
-		}
+		first, vEarliest := a.Earliest(s.cfg.MinCrossSpeed)
 		// Revisions only push later: never tempt the victim into an
 		// earlier slot its controller may no longer reach.
-		earliest := math.Max(te+etaDelay, g.toa)
+		earliest := math.Max(first, g.res.ToA)
 		s.res.Release(id)
-		toa, plan, steps, candExit, _, found := s.findSlot(m, id, g.params, te, remaining, speed, earliest, latest, vEarliest)
+		toa, plan, steps, exit, _, found := s.findSlot(m, id, a, lip, earliest, latest, vEarliest)
 		if !found {
 			s.res.Reserve(id, g.steps) // restore; the overlap stands, as physics dictates
 			continue
 		}
-		s.res.Reserve(id, steps)
-		g.toa = toa
-		g.res = im.Reservation{ToA: toa, Plan: plan}
-		g.planLen = candExit.planLen
-		g.steps = steps
-		g.exit = candExit
-		s.pushes = append(s.pushes, im.Push{VehicleID: id, Resp: im.Response{
-			Kind:        im.RespTimed,
-			TargetSpeed: plan.EntrySpeed,
-			ExecuteAt:   te,
-			ArriveAt:    toa,
-		}})
+		s.hold(id, &grant{
+			movement: g.movement, params: g.params,
+			res: im.Reservation{ToA: toa, Plan: plan}, steps: steps, exit: exit,
+		})
+		s.pushes = append(s.pushes, im.Push{VehicleID: id, Resp: a.Grant(toa, plan)})
 	}
 }
 
@@ -489,7 +350,7 @@ func (s *Scheduler) HandleExit(now float64, vehicleID int64) {
 // and lane-FIFO slot, refusing while its granted crossing is not
 // comfortably past (a granted vehicle is silent until its exit report).
 func (s *Scheduler) PruneGhost(now float64, vehicleID int64) bool {
-	if g, ok := s.grants[vehicleID]; ok && g.toa > now-2 {
+	if g, ok := s.grants[vehicleID]; ok && g.res.ToA > now-2 {
 		return false
 	}
 	s.HandleExit(now, vehicleID)
@@ -498,19 +359,3 @@ func (s *Scheduler) PruneGhost(now float64, vehicleID int64) bool {
 
 // HeldPairs reports the current (tile, step) reservation count.
 func (s *Scheduler) HeldPairs() int { return s.res.HeldPairs() }
-
-func appendUnique(dst []int, src []int) []int {
-	for _, v := range src {
-		found := false
-		for _, d := range dst {
-			if d == v {
-				found = true
-				break
-			}
-		}
-		if !found {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}

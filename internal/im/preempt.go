@@ -22,8 +22,6 @@ const preemptMinGain = 0.5
 // it returns the improved (toa, plan), with the winner booked and every
 // displaced reservation re-planned, plus the revision pushes to transmit.
 func (c *VTCore) tryPreempt(now float64, req Request, sen, bid int64, planLen, earliest float64, planFor func(toa float64) CrossingPlan, npToA float64) (float64, CrossingPlan, []Push, bool) {
-	cmdLat := c.cfg.CommandLatency()
-
 	// Lane leaders are physically unpassable — never displace them.
 	ahead := make(map[int64]bool)
 	for _, id := range c.order.Ahead(req.VehicleID, req.DistToEntry) {
@@ -41,7 +39,7 @@ func (c *VTCore) tryPreempt(now float64, req Request, sen, bid int64, planLen, e
 		if c.bids[r.VehicleID] >= bid {
 			continue
 		}
-		if len(r.Plan.Approach.Phases) == 0 || r.ToA < now+cmdLat+0.5 {
+		if len(r.Plan.Approach.Phases) == 0 || r.ToA < now+c.cfg.WCRTD+0.5 {
 			continue
 		}
 		victims = append(victims, r.VehicleID)
@@ -79,7 +77,7 @@ func (c *VTCore) tryPreempt(now float64, req Request, sen, bid int64, planLen, e
 		Seniority: sen,
 	}
 	c.book.Add(cand)
-	pushes := ReviseConflicts(c.book, cand, now, cmdLat, 0.1)
+	pushes := ReviseConflicts(c.book, cand, now, c.cfg.WCRTD, 0.1)
 
 	// Audit: every reservation the winner is not entitled to ignore must
 	// now clear it. Any residual conflict means some displaced grant was

@@ -75,14 +75,11 @@ func reviseOne(b *Book, r Reservation, now, cmdLatency, minCrossSpeed float64) (
 	// slot must stay within that dip's reach: a stop-and-dwell plan past
 	// the lip's stopping point would park the nose inside crossing
 	// movements' conflict zones.
+	a := Anchor{TE: te, DE: remaining, VC: speed, Params: r.Params}
 	lip := r.PlanLen // conservative: a body-plus-buffers length before the entry
-	latest := math.Inf(1)
-	if r.Params.StoppingDistance(speed) >= remaining-lip {
-		eta, ok := kinematics.LatestNoDwell(remaining, speed, minCrossSpeed, r.Params)
-		if !ok {
-			return Reservation{}, Response{}, false
-		}
-		latest = te + eta
+	latest, ok := a.Latest(lip, minCrossSpeed)
+	if !ok {
+		return Reservation{}, Response{}, false
 	}
 	etaDelay, vEarliest, _ := kinematics.EarliestArrival(te, remaining, speed, r.Params)
 	earliest := math.Max(te+etaDelay, r.ToA) // revisions only push later
@@ -121,10 +118,5 @@ func reviseOne(b *Book, r Reservation, now, cmdLatency, minCrossSpeed float64) (
 	nr := r
 	nr.ToA = toa
 	nr.Plan = plan
-	return nr, Response{
-		Kind:        RespTimed,
-		TargetSpeed: plan.EntrySpeed,
-		ExecuteAt:   te,
-		ArriveAt:    toa,
-	}, true
+	return nr, a.Grant(toa, plan), true
 }

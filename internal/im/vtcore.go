@@ -95,16 +95,9 @@ type VTCoreConfig struct {
 	// used to build the conflict table (use the largest vehicle in a
 	// heterogeneous fleet).
 	RefLength, RefWidth float64
-	// WCRTD is the command latency used when revising grants (s).
+	// WCRTD is the command latency used when revising grants (s): the
+	// spec's worst-case round-trip delay.
 	WCRTD float64
-}
-
-// CommandLatency returns the revision command latency.
-func (c VTCoreConfig) CommandLatency() float64 {
-	if c.WCRTD > 0 {
-		return c.WCRTD
-	}
-	return 0.15
 }
 
 // VTCore is the shared FIFO velocity-transaction scheduler: it owns the
@@ -301,7 +294,7 @@ func (c *VTCore) HandleRequest(now float64, req Request) (Response, float64) {
 		// The truth may invalidate earlier grants; revise the ones that
 		// can still comply and push them fresh commands — the capability
 		// a timed-command interface has and a yes/no one lacks.
-		c.pushes = append(c.pushes, ReviseConflicts(c.book, rebooked, now, c.cfg.CommandLatency(), 0.1)...)
+		c.pushes = append(c.pushes, ReviseConflicts(c.book, rebooked, now, c.cfg.WCRTD, 0.1)...)
 		return respond(toa, plan), cost
 	}
 	if v, ok := c.planner.(SlotVerifier); ok && !v.VerifySlot(now, toa, plan, req) {

@@ -169,5 +169,6 @@ func New(x *intersection.Intersection, cfg Config, rng *rand.Rand) (*im.VTCore, 
 		TableStep:     cfg.TableStep,
 		RefLength:     cfg.RefLength,
 		RefWidth:      cfg.RefWidth,
+		WCRTD:         cfg.Spec.WorstRTD,
 	}, rng)
 }

@@ -214,6 +214,15 @@ func SlowestPoint(prof Profile, totalDist float64) (minV, remaining float64) {
 	return minV, remaining
 }
 
+// DwellClear reports whether a plan covering dist meters to the box entry
+// keeps every dwell or crawl (below 0.3 m/s) at least lip meters before
+// the entry. A slow point at the plan's start always clears: the vehicle
+// already stands there, and only future dwells are rejectable.
+func DwellClear(prof Profile, dist, lip float64) bool {
+	minV, remaining := SlowestPoint(prof, dist)
+	return minV >= 0.3 || remaining >= dist-1e-6 || remaining >= lip-1e-6
+}
+
 // PlanConstantSpeed returns the trivial profile of a vehicle holding speed v
 // over dist meters (the AIM proposal trajectory), plus its arrival delay.
 func PlanConstantSpeed(startTime, dist, v float64) (Profile, float64) {

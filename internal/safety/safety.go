@@ -85,6 +85,22 @@ func (s Spec) SyncBuffer() float64 { return s.SyncError * s.MaxSpeed }
 // term: SensingError + SyncBuffer. Paper: 75 + 3 = 78 mm.
 func (s Spec) SensingBuffer() float64 { return s.SensingError + s.SyncBuffer() }
 
+// StopLineOffset returns how far before the box entry a waiting vehicle's
+// front bumper stops, for a body of the given width: half the corridor
+// width plus both sensing buffers plus 5 cm of slack, so the buffered
+// nose clears every crossing movement's buffered corridor.
+func (s Spec) StopLineOffset(width float64) float64 {
+	return width/2 + 2*s.SensingBuffer() + 0.05
+}
+
+// Lip returns the conflict-zone lip of a body: the center-to-entry
+// distance at its stop line. A plan may not dwell or crawl closer to the
+// box than this — the waiting nose would park inside crossing movements'
+// conflict zones, which no IM's pre-entry occupancy model represents.
+func (s Spec) Lip(length, width float64) float64 {
+	return s.StopLineOffset(width) + length/2
+}
+
 // RTDBuffer returns the extra one-sided buffer a plain VT-IM needs:
 // WorstRTD x MaxSpeed (0.45 m at the testbed's 150 ms and 3 m/s).
 func (s Spec) RTDBuffer() float64 { return s.WorstRTD * s.MaxSpeed }

@@ -96,3 +96,14 @@ func TestBufferScalesWithRTD(t *testing.T) {
 		t.Errorf("Crossroads buffer changed with RTD: %v", s.ForCrossroads().Long)
 	}
 }
+
+func TestLipIsStopLinePlusHalfBody(t *testing.T) {
+	s := TestbedSpec()
+	// Width/2 + both sensing buffers + 5 cm slack, then half the body.
+	if got, want := s.StopLineOffset(0.296), 0.296/2+2*s.SensingBuffer()+0.05; got != want {
+		t.Errorf("StopLineOffset = %v, want %v", got, want)
+	}
+	if got, want := s.Lip(0.568, 0.296), 0.296/2+2*s.SensingBuffer()+0.05+0.568/2; got != want {
+		t.Errorf("Lip = %v, want %v", got, want)
+	}
+}

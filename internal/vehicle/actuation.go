@@ -33,20 +33,9 @@ func (a *Agent) canStillStop(sMeas float64) bool {
 	return atExec+a.Plant.Params.StoppingDistance(v) < stopAt
 }
 
-// dwellClearsLip reports whether a plan covering dist meters to the box
-// entry keeps any dwell (speed below 0.3 m/s) at or behind the stop line.
-func (a *Agent) dwellClearsLip(prof kinematics.Profile, dist float64) bool {
-	minV, remaining := kinematics.SlowestPoint(prof, dist)
-	if minV >= 0.3 {
-		return true
-	}
-	if remaining >= dist-1e-6 {
-		// The slow point is the plan's start: the vehicle already stands
-		// there.
-		return true
-	}
-	return remaining >= a.Plant.Params.Length/2+a.cfg.StopLineOffset-1e-6
-}
+// lip is the center-to-entry distance of the stop line: plans may not
+// dwell or crawl closer to the box than this.
+func (a *Agent) lip() float64 { return a.Plant.Params.Length/2 + a.cfg.StopLineOffset }
 
 // failsafe records a failsafe event (fault-injected runs only) and brings
 // the vehicle to a safe stop before the transmission line, from which it
@@ -127,7 +116,7 @@ func (a *Agent) applyTimedCommand(now float64, resp im.Response) {
 		// early, within the sensing buffer).
 		_, _, prof = kinematics.EarliestArrival(tExec, dist, v, a.Plant.Params)
 	}
-	if (math.Abs(prof.TimeAtDistance(dist)-tArrive) > 0.05 || !a.dwellClearsLip(prof, dist)) && a.canStillStop(s) {
+	if (math.Abs(prof.TimeAtDistance(dist)-tArrive) > 0.05 || !kinematics.DwellClear(prof, dist, a.lip())) && a.canStillStop(s) {
 		// The plan cannot realize the granted arrival (the slot slid past
 		// the latest arrival reachable from here), or it would park the
 		// nose inside the conflict-zone lip. Renegotiate from a safe stop.
@@ -242,7 +231,7 @@ func (a *Agent) ControlStep(now, dt float64) float64 {
 			dist := a.Movement.EnterS - sMeas
 			prof, err := kinematics.PlanArrival(now, dist, a.Plant.MeasuredV(), a.tArriveRef, a.Plant.Params)
 			switch {
-			case err == nil && a.dwellClearsLip(prof, dist):
+			case err == nil && kinematics.DwellClear(prof, dist, a.lip()):
 				a.profile = appendBoxAccel(prof, a.Plant.Params)
 				a.originS = sMeas
 			case err != nil:

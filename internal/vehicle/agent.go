@@ -239,10 +239,8 @@ func DeriveConfig(policy Policy, spec safety.Spec, params kinematics.Params) Con
 	cfg.CommandLatency = spec.WorstRTD
 	cfg.MinGap = math.Max(0.15, 0.25*params.Length)
 	cfg.ReRequestLag = math.Max(0.05, 0.75*spec.SensingBuffer())
-	// The stop line sits behind the conflict-zone lip: a waiting vehicle's
-	// buffered nose must clear a crossing movement's buffered corridor
-	// (half the corridor width plus both buffers plus slack).
-	cfg.StopLineOffset = params.Width/2 + 2*spec.SensingBuffer() + 0.05
+	// The stop line sits behind the conflict-zone lip.
+	cfg.StopLineOffset = spec.StopLineOffset(params.Width)
 	return cfg
 }
 
