@@ -367,16 +367,39 @@ func BenchmarkSchedulerCrossroadsRequest(b *testing.B) {
 	}
 }
 
+// BenchmarkConflictTableBuild times one cold conflict-table build: the
+// scale-model table, and the two full-scale tables every flow sweep pays
+// for at set-up, with the footprints Crossroads (core.Config.VTConfig) and
+// VT-IM (vtim.New: the sensing plus RTD buffers) plan with.
 func BenchmarkConflictTableBuild(b *testing.B) {
-	x, err := intersection.New(intersection.ScaleModelConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := intersection.BuildConflictTable(x, 0.724, 0.452, 0.05); err != nil {
-			b.Fatal(err)
-		}
+	full := kinematics.FullScaleParams()
+	crCfg := core.DefaultConfig()
+	crCfg.Spec, crCfg.RefLength, crCfg.RefWidth = safety.FullScaleSpec(), full.Length, full.Width
+	vt := crCfg.VTConfig()
+	crLen, crWid := vt.Buffers.InflatedDims(vt.RefLength, vt.RefWidth)
+	vtLen, vtWid := safety.FullScaleSpec().ForVTIM().InflatedDims(full.Length, full.Width)
+	for _, c := range []struct {
+		name     string
+		cfg      intersection.Config
+		len, wid float64
+		ds       float64
+	}{
+		{"scale-model", intersection.ScaleModelConfig(), 0.724, 0.452, 0.05},
+		{"full-scale/crossroads", intersection.FullScaleConfig(), crLen, crWid, vt.TableStep},
+		{"full-scale/vt-im", intersection.FullScaleConfig(), vtLen, vtWid, vt.TableStep},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			x, err := intersection.New(c.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := intersection.BuildConflictTable(x, c.len, c.wid, c.ds); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -57,9 +57,12 @@ func (r Rect) Inflate(dl, dw float64) Rect {
 }
 
 // Corners returns the four corners in CCW order starting from front-left.
-func (r Rect) Corners() [4]Vec2 {
-	f := Heading(r.Heading).Scale(r.HalfL)
-	s := Heading(r.Heading).Perp().Scale(r.HalfW)
+func (r Rect) Corners() [4]Vec2 { return r.corners(Heading(r.Heading)) }
+
+// corners is Corners for the precomputed heading axis h.
+func (r Rect) corners(h Vec2) [4]Vec2 {
+	f := h.Scale(r.HalfL)
+	s := h.Perp().Scale(r.HalfW)
 	return [4]Vec2{
 		r.Center.Add(f).Add(s), // front-left
 		r.Center.Sub(f).Add(s), // rear-left
@@ -91,44 +94,138 @@ func (r Rect) ContainsPoint(p Vec2) bool {
 func (r Rect) Area() float64 { return 4 * r.HalfL * r.HalfW }
 
 // Intersects reports whether two oriented rectangles overlap, using the
-// separating-axis theorem. Touching edges count as intersecting.
+// separating-axis theorem. Touching edges count as intersecting. It is
+// Prepared.Overlaps on freshly prepared rectangles, except that the
+// bounding-circle reject runs first so far-apart pairs skip the trig.
 func (r Rect) Intersects(o Rect) bool {
-	// Quick reject on bounding circles.
-	rr := math.Hypot(r.HalfL, r.HalfW)
-	or := math.Hypot(o.HalfL, o.HalfW)
-	if r.Center.Dist(o.Center) > rr+or {
+	if !circlesMeet(r.Center, o.Center, math.Hypot(r.HalfL, r.HalfW)+math.Hypot(o.HalfL, o.HalfW)) {
 		return false
 	}
-	axes := [4]Vec2{
-		Heading(r.Heading),
-		Heading(r.Heading).Perp(),
-		Heading(o.Heading),
-		Heading(o.Heading).Perp(),
-	}
-	rc := r.Corners()
-	oc := o.Corners()
-	for _, ax := range axes {
-		rmin, rmax := projectExtent(rc[:], ax)
-		omin, omax := projectExtent(oc[:], ax)
-		if rmax < omin-Eps || omax < rmin-Eps {
-			return false
-		}
-	}
-	return true
+	return !separatedRects(&r, &o)
 }
 
-// projectExtent returns the min/max projection of pts onto axis ax.
-func projectExtent(pts []Vec2, ax Vec2) (min, max float64) {
-	min = math.Inf(1)
-	max = math.Inf(-1)
-	for _, p := range pts {
-		d := p.Dot(ax)
-		if d < min {
-			min = d
+// separatedRects is the SAT half of Intersects, kept out of line so the
+// common bounding-circle reject does not pay for two Prepared frames.
+//
+//go:noinline
+func separatedRects(r, o *Rect) bool {
+	pr, po := r.Prepare(), o.Prepare()
+	return pr.separated(&po)
+}
+
+// Prepared is a Rect with everything the overlap test needs computed once:
+// the bounding-circle radius, the heading axis and its perpendicular, the
+// corners, and the corners' extent on the rectangle's own two axes. A
+// caller testing one rectangle against many prepares it once; the answers
+// are bit-identical to Rect.Intersects.
+type Prepared struct {
+	center  Vec2
+	radius  float64
+	axes    [2]Vec2
+	corners [4]Vec2
+	extent  [2][2]float64 // [axis]{min, max} of corners projected on axes
+}
+
+// Prepare computes r's prepared form.
+func (r Rect) Prepare() (p Prepared) {
+	h := Heading(r.Heading)
+	p.center = r.Center
+	p.radius = math.Hypot(r.HalfL, r.HalfW)
+	p.axes = [2]Vec2{h, h.Perp()}
+	p.corners = r.corners(h)
+	for k := range p.axes {
+		p.extent[k][0], p.extent[k][1] = projectExtent(&p.corners, p.axes[k])
+	}
+	return p
+}
+
+// Center returns the rectangle's center.
+func (p *Prepared) Center() Vec2 { return p.center }
+
+// Radius returns the bounding-circle radius, hypot(HalfL, HalfW).
+func (p *Prepared) Radius() float64 { return p.radius }
+
+// Overlaps reports whether the two prepared rectangles intersect: the
+// bounding-circle reject, then the separating-axis test on p's heading
+// axes and then o's, each with the Eps touching tolerance.
+func (p *Prepared) Overlaps(o *Prepared) bool {
+	return circlesMeet(p.center, o.center, p.radius+o.radius) && !p.separated(o)
+}
+
+// separated reports whether one of the four candidate axes separates the
+// rectangles. A rectangle's extent on its own axes is precomputed, so each
+// axis projects only the other rectangle's corners.
+func (p *Prepared) separated(o *Prepared) bool {
+	for k := range p.axes {
+		omin, omax := projectExtent(&o.corners, p.axes[k])
+		if p.extent[k][1] < omin-Eps || omax < p.extent[k][0]-Eps {
+			return true
 		}
-		if d > max {
-			max = d
+	}
+	for k := range o.axes {
+		pmin, pmax := projectExtent(&p.corners, o.axes[k])
+		if pmax < o.extent[k][0]-Eps || o.extent[k][1] < pmin-Eps {
+			return true
 		}
+	}
+	return false
+}
+
+// circleBand is the relative half-width of the band around reach² inside
+// which circlesMeet falls back to Hypot. Both d² and Hypot are within a few
+// ulps of exact, so outside the band their verdicts provably agree.
+const circleBand = 1e-9
+
+// minBandReach2 is the smallest reach² the squared test is trusted at;
+// below it squares lose precision to underflow and Hypot decides alone.
+const minBandReach2 = 1e-200
+
+// circlesMeet reports !(hypot(a-b) > reach), the bounding-circle test. The
+// squared distance settles every pair clear of the band around reach²
+// without calling Hypot; what the squares cannot settle (a NaN, or both
+// infinite) falls through to Hypot.
+func circlesMeet(a, b Vec2, reach float64) bool {
+	dx, dy := a.X-b.X, a.Y-b.Y
+	d2 := dx*dx + dy*dy
+	r2 := reach * reach
+	if r2 >= minBandReach2 {
+		if d2 > r2*(1+circleBand) {
+			return false
+		}
+		if d2 < r2*(1-circleBand) {
+			return true
+		}
+	}
+	return !(math.Hypot(dx, dy) > reach)
+}
+
+// projectExtent returns the min/max projection of the corners onto axis ax.
+func projectExtent(pts *[4]Vec2, ax Vec2) (min, max float64) {
+	min, max = math.Inf(1), math.Inf(-1)
+	d0, d1, d2, d3 := pts[0].Dot(ax), pts[1].Dot(ax), pts[2].Dot(ax), pts[3].Dot(ax)
+	if d0 < min {
+		min = d0
+	}
+	if d0 > max {
+		max = d0
+	}
+	if d1 < min {
+		min = d1
+	}
+	if d1 > max {
+		max = d1
+	}
+	if d2 < min {
+		min = d2
+	}
+	if d2 > max {
+		max = d2
+	}
+	if d3 < min {
+		min = d3
+	}
+	if d3 > max {
+		max = d3
 	}
 	return min, max
 }

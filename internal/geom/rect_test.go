@@ -260,3 +260,137 @@ func TestSegmentLengthAndPointAt(t *testing.T) {
 		t.Errorf("PointAt(0.5) = %v", s.PointAt(0.5))
 	}
 }
+
+// intersectsBefore is Rect.Intersects as it was before the prepared form:
+// Hypot bounding-circle reject, then per-call corners, axes and SAT. The
+// prepared form must agree with it on every pair.
+func intersectsBefore(r, o Rect) bool {
+	if r.Center.Dist(o.Center) > math.Hypot(r.HalfL, r.HalfW)+math.Hypot(o.HalfL, o.HalfW) {
+		return false
+	}
+	corners := func(r Rect) []Vec2 {
+		f := Heading(r.Heading).Scale(r.HalfL)
+		s := Heading(r.Heading).Perp().Scale(r.HalfW)
+		return []Vec2{r.Center.Add(f).Add(s), r.Center.Sub(f).Add(s), r.Center.Sub(f).Sub(s), r.Center.Add(f).Sub(s)}
+	}
+	extent := func(pts []Vec2, ax Vec2) (lo, hi float64) {
+		lo, hi = math.Inf(1), math.Inf(-1)
+		for _, p := range pts {
+			d := p.Dot(ax)
+			if d < lo {
+				lo = d
+			}
+			if d > hi {
+				hi = d
+			}
+		}
+		return lo, hi
+	}
+	rc, oc := corners(r), corners(o)
+	for _, ax := range []Vec2{Heading(r.Heading), Heading(r.Heading).Perp(), Heading(o.Heading), Heading(o.Heading).Perp()} {
+		rmin, rmax := extent(rc, ax)
+		omin, omax := extent(oc, ax)
+		if rmax < omin-Eps || omax < rmin-Eps {
+			return false
+		}
+	}
+	return true
+}
+
+// TestPreparedOverlapsMatchesIntersects checks the prepared-form overlap
+// and Rect.Intersects against the pre-prepared implementation on random
+// pairs, on pairs whose centers sit at the bounding-circle reach (where the
+// squared-distance pre-check hands over to Hypot), and on pairs touching
+// edge to edge or corner to corner, exactly and within a few Eps.
+func TestPreparedOverlapsMatchesIntersects(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	randRect := func(c Vec2) Rect {
+		return NewRect(c, rng.Float64()*5+0.01, rng.Float64()*2+0.01, rng.Float64()*4*math.Pi-2*math.Pi)
+	}
+	var pairs [][2]Rect
+	for i := 0; i < 20000; i++ {
+		a := randRect(V(rng.Float64()*20-10, rng.Float64()*20-10))
+		pairs = append(pairs, [2]Rect{a, randRect(V(rng.Float64()*20-10, rng.Float64()*20-10))})
+
+		// Centers at the circle reach, nudged by a few ulps either way.
+		b := randRect(Vec2{})
+		reach := math.Hypot(a.HalfL, a.HalfW) + math.Hypot(b.HalfL, b.HalfW)
+		d := reach * (1 + float64(rng.Intn(9)-4)*1e-16)
+		b.Center = a.Center.Add(Heading(rng.Float64() * 2 * math.Pi).Scale(d))
+		pairs = append(pairs, [2]Rect{a, b})
+
+		// Edge to edge along a's heading axis or its perpendicular, with
+		// a gap of a few Eps either side of zero; corner to corner for
+		// aligned rectangles.
+		gap := float64(rng.Intn(7)-3) * Eps
+		c := randRect(Vec2{})
+		c.Heading = a.Heading
+		along := Heading(a.Heading).Scale(a.HalfL + c.HalfL + gap)
+		across := Heading(a.Heading).Perp().Scale(a.HalfW + c.HalfW + gap)
+		for _, off := range []Vec2{along, across, along.Neg(), along.Add(across)} {
+			c.Center = a.Center.Add(off)
+			pairs = append(pairs, [2]Rect{a, c})
+		}
+	}
+	touching := 0
+	for _, p := range pairs {
+		a, b := p[0], p[1]
+		want := intersectsBefore(a, b)
+		pa, pb := a.Prepare(), b.Prepare()
+		if got := pa.Overlaps(&pb); got != want {
+			t.Fatalf("Prepared.Overlaps(%+v, %+v) = %v, want %v", a, b, got, want)
+		}
+		if got := a.Intersects(b); got != want {
+			t.Fatalf("Intersects(%+v, %+v) = %v, want %v", a, b, got, want)
+		}
+		if want {
+			touching++
+		}
+	}
+	if touching < len(pairs)/4 || touching > 3*len(pairs)/4 {
+		t.Errorf("%d of %d pairs overlap: the cases no longer straddle the boundary", touching, len(pairs))
+	}
+}
+
+// TestCirclesMeetMatchesHypot checks the squared-distance bounding-circle
+// test against the Hypot comparison it replaces, at distances within a few
+// ulps of the reach (where d² and Hypot round differently), at random
+// distances, and on tiny, huge, infinite and NaN inputs.
+func TestCirclesMeetMatchesHypot(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	check := func(a, b Vec2, reach float64) {
+		t.Helper()
+		want := !(math.Hypot(a.X-b.X, a.Y-b.Y) > reach)
+		if got := circlesMeet(a, b, reach); got != want {
+			t.Fatalf("circlesMeet(%v, %v, %v) = %v, want %v", a, b, reach, got, want)
+		}
+	}
+	for i := 0; i < 200000; i++ {
+		a := V(rng.Float64()*40-20, rng.Float64()*40-20)
+		reach := rng.Float64()*12 + 1e-3
+		d := reach * (1 + float64(rng.Intn(41)-20)*1e-16)
+		if i%4 == 0 {
+			d = rng.Float64() * 2 * reach
+		}
+		check(a, a.Add(Heading(rng.Float64()*2*math.Pi).Scale(d)), reach)
+	}
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		a, b  Vec2
+		reach float64
+	}{
+		{V(0, 0), V(3e-160, 0), 2e-160},
+		{V(0, 0), V(1e-160, 0), 2e-160},
+		{V(0, 0), V(1e200, 1e200), 1e150},
+		{V(0, 0), V(1e160, 0), 2e160},
+		{V(0, 0), V(3e160, 0), 2e160},
+		{V(0, 0), V(inf, 0), 5},
+		{V(0, 0), V(inf, 0), inf},
+		{V(0, 0), V(3, 4), inf},
+		{V(0, 0), V(nan, 0), 5},
+		{V(0, 0), V(3, 4), nan},
+		{V(0, 0), V(0, 0), 0},
+	} {
+		check(c.a, c.b, c.reach)
+	}
+}

@@ -1,7 +1,15 @@
 package intersection
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"sync"
 	"testing"
+
+	"crossroads/internal/geom"
+	"crossroads/internal/kinematics"
+	"crossroads/internal/safety"
 )
 
 func buildScaleTable(t *testing.T) (*Intersection, *ConflictTable) {
@@ -181,5 +189,173 @@ func TestNumZonesPlausible(t *testing.T) {
 	n := tab.NumZones()
 	if n < 10 || n > 54 {
 		t.Errorf("NumZones = %d, implausible", n)
+	}
+}
+
+// referenceZone is the brute-force all-pairs sweep BuildConflictTable
+// must reproduce exactly: every A sample against every B sample, bounding
+// the overlapping samples' arc lengths. Samples are prepared once so the
+// sweep runs in test time; geom's tests pin Prepared.Overlaps to
+// Rect.Intersects.
+func referenceZone(ma, mb *Movement, vehLen, vehWid, ds float64) (ConflictZone, bool) {
+	margin := math.Hypot(vehLen, vehWid) / 2
+	aLo := math.Max(0, ma.EnterS-margin)
+	aHi := math.Min(ma.Length, ma.ExitS+margin)
+	bLo := math.Max(0, mb.EnterS-margin)
+	bHi := math.Min(mb.Length, mb.ExitS+margin)
+
+	type sample struct {
+		s    float64
+		rect geom.Prepared
+	}
+	sampleRange := func(m *Movement, lo, hi float64) []sample {
+		n := int(math.Ceil((hi-lo)/ds)) + 1
+		out := make([]sample, 0, n+1)
+		for i := 0; i <= n; i++ {
+			s := lo + (hi-lo)*float64(i)/float64(n)
+			p := m.Path.PoseAt(s)
+			out = append(out, sample{s: s, rect: geom.NewRect(p.Pos, vehLen, vehWid, p.Heading).Prepare()})
+		}
+		return out
+	}
+	as := sampleRange(ma, aLo, aHi)
+	bs := sampleRange(mb, bLo, bHi)
+
+	zone := ConflictZone{
+		AStart: math.Inf(1), AEnd: math.Inf(-1),
+		BStart: math.Inf(1), BEnd: math.Inf(-1),
+	}
+	found := false
+	for _, sa := range as {
+		for _, sb := range bs {
+			if sa.rect.Overlaps(&sb.rect) {
+				found = true
+				zone.AStart = math.Min(zone.AStart, sa.s)
+				zone.AEnd = math.Max(zone.AEnd, sa.s)
+				zone.BStart = math.Min(zone.BStart, sb.s)
+				zone.BEnd = math.Max(zone.BEnd, sb.s)
+			}
+		}
+	}
+	if !found {
+		return ConflictZone{}, false
+	}
+	zone.AStart = math.Max(0, zone.AStart-ds)
+	zone.AEnd = math.Min(ma.Length, zone.AEnd+ds)
+	zone.BStart = math.Max(0, zone.BStart-ds)
+	zone.BEnd = math.Min(mb.Length, zone.BEnd+ds)
+	return zone, true
+}
+
+// referenceZones is the reference table as a pair-keyed map.
+func referenceZones(x *Intersection, vehLen, vehWid, ds float64) map[movementPair]ConflictZone {
+	zones := make(map[movementPair]ConflictZone)
+	ids := x.MovementIDs()
+	for i := 0; i < len(ids); i++ {
+		for j := i + 1; j < len(ids); j++ {
+			if z, ok := referenceZone(x.Movement(ids[i]), x.Movement(ids[j]), vehLen, vehWid, ds); ok {
+				zones[movementPair{ids[i], ids[j]}] = z
+			}
+		}
+	}
+	return zones
+}
+
+// TestBuildMatchesReferenceSweep pins BuildConflictTable to the all-pairs
+// sweep, zone for zone and bit for bit, over every footprint a shipped
+// policy plans with (the VT-IM and Crossroads buffers; batch, signalized
+// and auction share Crossroads'), an oversized footprint, single- and
+// two-lane geometry, and the default and a finer sampling step.
+func TestBuildMatchesReferenceSweep(t *testing.T) {
+	type footprint struct {
+		name     string
+		len, wid float64
+	}
+	shipped := func(spec safety.Spec, p kinematics.Params) []footprint {
+		vl, vw := spec.ForVTIM().InflatedDims(p.Length, p.Width)
+		cl, cw := spec.ForCrossroads().InflatedDims(p.Length, p.Width)
+		return []footprint{{"vt-im", vl, vw}, {"crossroads", cl, cw}}
+	}
+	full := shipped(safety.FullScaleSpec(), kinematics.FullScaleParams())
+	testbed := shipped(safety.TestbedSpec(), kinematics.ScaleModelParams())
+	oversized := footprint{"oversized", full[0].len + 2, full[0].wid + 1}
+	twoLane := ScaleModelConfig()
+	twoLane.LanesPerRoad = 2
+	twoLane.BoxSize = 2.4
+
+	cases := []struct {
+		name  string
+		cfg   Config
+		feet  []footprint
+		steps []float64
+	}{
+		{"full-scale", FullScaleConfig(), append(full, oversized), []float64{0.05}},
+		{"scale-model", ScaleModelConfig(), testbed, []float64{0.05, 0.02}},
+		{"two-lane", twoLane, testbed, []float64{0.05}},
+	}
+	for _, c := range cases {
+		x := mustNew(t, c.cfg)
+		for _, f := range c.feet {
+			for _, ds := range c.steps {
+				t.Run(fmt.Sprintf("%s/%s/ds=%v", c.name, f.name, ds), func(t *testing.T) {
+					t.Parallel()
+					want := referenceZones(x, f.len, f.wid, ds)
+					steps := []float64{ds}
+					if ds == 0.05 {
+						steps = append(steps, 0) // the default step
+					}
+					for _, step := range steps {
+						tab, err := BuildConflictTable(x, f.len, f.wid, step)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(tab.zones, want) {
+							t.Errorf("ds=%v (%.3fx%.3f): %d zones differ from the reference sweep's %d",
+								step, f.len, f.wid, len(tab.zones), len(want))
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestCachedConflictTableSingleFlight has many goroutines ask for one
+// uncached key at once: all must get the same table, built by whichever
+// arrived first while the rest waited for it.
+func TestCachedConflictTableSingleFlight(t *testing.T) {
+	x := mustNew(t, ScaleModelConfig())
+	const vehLen, vehWid = 0.6171, 0.3171
+	tableCache.Delete(tableCacheKey{cfg: x.Config(), vehLen: vehLen, vehWid: vehWid, ds: 0.05})
+	const callers = 8
+	var (
+		start  = make(chan struct{})
+		wg     sync.WaitGroup
+		tables [callers]*ConflictTable
+		errs   [callers]error
+	)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			tables[i], errs[i] = CachedConflictTable(x, vehLen, vehWid, 0.05)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range tables {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if tables[i] != tables[0] {
+			t.Fatalf("caller %d got table %p, caller 0 got %p", i, tables[i], tables[0])
+		}
+	}
+	if again, _ := CachedConflictTable(x, vehLen, vehWid, 0); again != tables[0] {
+		t.Error("default-step lookup missed the cached table")
+	}
+	if _, err := CachedConflictTable(x, -1, 0.3, 0.05); err == nil {
+		t.Error("invalid footprint cached as a table")
 	}
 }

@@ -54,13 +54,14 @@ func (g *TileGrid) TilesFor(r geom.Rect) []int {
 	iHi := clampIdx(int((bb.Max.X-g.box.Min.X)/g.side), g.n)
 	jLo := clampIdx(int((bb.Min.Y-g.box.Min.Y)/g.side), g.n)
 	jHi := clampIdx(int((bb.Max.Y-g.box.Min.Y)/g.side), g.n)
+	pr := r.Prepare()
 	var out []int
 	for j := jLo; j <= jHi; j++ {
 		for i := iLo; i <= iHi; i++ {
 			tile := g.TileAABB(i, j)
 			// Convert tile to a Rect for the SAT test.
-			tileRect := geom.NewRect(tile.Center(), tile.Width(), tile.Height(), 0)
-			if r.Intersects(tileRect) {
+			tileRect := geom.NewRect(tile.Center(), tile.Width(), tile.Height(), 0).Prepare()
+			if pr.Overlaps(&tileRect) {
 				out = append(out, g.TileIndex(i, j))
 			}
 		}

@@ -95,3 +95,6 @@ func FullScaleParams() Params {
 // requested constraints exists (for example, a requested arrival earlier
 // than the earliest kinematically reachable arrival).
 var ErrInfeasible = errors.New("kinematics: requested trajectory is infeasible")
+
+// ErrNegativeDistance is returned by PlanArrival for a negative distance.
+var ErrNegativeDistance = errors.New("kinematics: negative distance")

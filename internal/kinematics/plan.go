@@ -96,20 +96,23 @@ func LatestNoDwell(dist, vInit, vFloor float64, p Params) (eta float64, ok bool)
 //     dwell phase of the missing duration.
 //
 // It returns ErrInfeasible if arriveAt is earlier than the earliest
-// kinematically reachable arrival (with 1 ms tolerance).
+// kinematically reachable arrival (with 1 ms tolerance), and
+// ErrNegativeDistance for dist < 0. Both are bare sentinels: planners probe
+// infeasible arrivals in their inner loops, so the error costs nothing to
+// build.
 func PlanArrival(startTime, dist, vInit, arriveAt float64, p Params) (Profile, error) {
 	if err := p.Validate(); err != nil {
 		return Profile{}, err
 	}
 	if dist < 0 {
-		return Profile{}, fmt.Errorf("kinematics: negative distance %v", dist)
+		return Profile{}, ErrNegativeDistance
 	}
 	vInit = math.Min(math.Max(vInit, 0), p.MaxSpeed)
 	want := arriveAt - startTime
 	const tol = 1e-3 // 1 ms scheduling tolerance
 	earliest, _, fastProf := EarliestArrival(startTime, dist, vInit, p)
 	if want < earliest-tol {
-		return Profile{}, fmt.Errorf("%w: want arrival %.4fs after start, earliest %.4fs", ErrInfeasible, want, earliest)
+		return Profile{}, ErrInfeasible
 	}
 	if want <= earliest+tol {
 		return fastProf, nil

@@ -139,6 +139,20 @@ func TestPlanArrivalInvalidInputs(t *testing.T) {
 	}
 }
 
+// TestPlanArrivalSentinelErrors pins the bare sentinels: planners probe
+// infeasible arrivals in their inner loops, so the rejection returns the
+// sentinel itself, not a formatted wrapper built per call.
+func TestPlanArrivalSentinelErrors(t *testing.T) {
+	p := ScaleModelParams()
+	eta, _, _ := EarliestArrival(0, 3, 1, p)
+	if _, err := PlanArrival(0, 3, 1, eta-0.5, p); err != ErrInfeasible {
+		t.Errorf("infeasible: err = %v, want bare ErrInfeasible", err)
+	}
+	if _, err := PlanArrival(0, -1, 1, 2, p); err != ErrNegativeDistance {
+		t.Errorf("negative distance: err = %v, want bare ErrNegativeDistance", err)
+	}
+}
+
 func TestPlanArrivalDipExact(t *testing.T) {
 	// Ask for an arrival 1 s after earliest: plan must dip and still cover
 	// exactly the distance at exactly the requested time.
