@@ -21,11 +21,13 @@ bench:
 bench-grid:
 	$(GO) test -bench 'BenchmarkGrid' -benchmem -run '^$$'
 
-## bench-report regenerates the committed machine-readable benchmark
-## artifact. Re-run on a multi-core host to refresh the speedup evidence
-## (on a single-core host the parallel variants are skipped or noted).
+## bench-report writes a new machine-readable benchmark record to the next
+## unused BENCH_<n>.json, so committed records are never overwritten (run
+## `go run ./cmd/benchreport -label <text>` to label it). Re-run on a
+## multi-core host to refresh the speedup evidence (on a single-core host
+## the parallel variants are skipped or noted).
 bench-report:
-	$(GO) run ./cmd/benchreport -out BENCH_8.json -label policy-registry
+	$(GO) run ./cmd/benchreport
 
 ## policy-demo is the scheduler-registry acceptance gate: each of the new
 ## policy families (dot, signalized, auction) drives a 2x2 grid of routed

@@ -5,7 +5,10 @@
 //
 // Usage:
 //
-//	benchreport [-out BENCH_3.json] [-label text]
+//	benchreport [-out path] [-label text]
+//
+// Without -out the report goes to the next unused BENCH_<n>.json in the
+// working directory, so a run never overwrites a committed record.
 package main
 
 import (
@@ -13,7 +16,10 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"crossroads/internal/im"
@@ -30,9 +36,17 @@ import (
 )
 
 func main() {
-	out := flag.String("out", "BENCH_5.json", "output path")
-	label := flag.String("label", "parallel-des-kernel", "report label")
+	out := flag.String("out", "", "output path (default: the next unused BENCH_<n>.json)")
+	label := flag.String("label", "", "report label")
 	flag.Parse()
+	if *out == "" {
+		next, err := nextBenchPath(".")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchreport:", err)
+			os.Exit(1)
+		}
+		*out = next
+	}
 
 	rep := metrics.BenchReport{
 		Label:  *label,
@@ -156,6 +170,23 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("benchreport: wrote %s (%d cores)\n", *out, rep.NumCPU)
+}
+
+// nextBenchPath returns BENCH_<n>.json in dir, n one past the highest
+// numbered report already there.
+func nextBenchPath(dir string) (string, error) {
+	paths, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	if err != nil {
+		return "", err
+	}
+	last := 0
+	for _, p := range paths {
+		num := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(p), "BENCH_"), ".json")
+		if n, err := strconv.Atoi(num); err == nil && n > last {
+			last = n
+		}
+	}
+	return filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", last+1)), nil
 }
 
 // record converts a testing.BenchmarkResult into the report schema.

@@ -29,10 +29,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative clock offset", Config{ClockMaxOffset: -0.2}, "ClockMaxOffset"},
 		{"negative drift", Config{ClockMaxDriftPPM: -20}, "ClockMaxDriftPPM"},
 		{"negative collision stride", Config{CollisionEvery: -1}, "CollisionEvery"},
-		{"negative aim grid", Config{Policy: vehicle.PolicyAIM, AIMGridN: -4}, "AIMGridN"},
-		{"negative aim step", Config{Policy: vehicle.PolicyAIM, AIMTimeStep: -0.1}, "AIMTimeStep"},
-		{"aim tuning on vtim", Config{Policy: vehicle.PolicyVTIM, AIMGridN: 16}, "AIM tuning"},
-		{"aim tuning on aim", Config{Policy: vehicle.PolicyAIM, AIMGridN: 16, AIMTimeStep: 0.05}, ""},
 		{"des firehose without recorder", Config{TraceDES: true}, "TraceDES"},
 		{"des firehose with recorder", Config{TraceDES: true, Trace: trace.NewFull()}, ""},
 		{"backoff cap below first timeout",

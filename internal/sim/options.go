@@ -83,14 +83,6 @@ func WithClockError(maxOffset, maxDriftPPM float64) Option {
 // ablation.
 func WithOmitRTDBuffer() Option { return func(c *Config) { c.OmitRTDBuffer = true } }
 
-// WithAIMTuning tunes the AIM baseline's grid resolution and time step.
-func WithAIMTuning(gridN int, timeStep float64) Option {
-	return func(c *Config) {
-		c.AIMGridN = gridN
-		c.AIMTimeStep = timeStep
-	}
-}
-
 // WithPolicyParams sets generic per-policy tuning as namespaced
 // "<policy>.<knob>" keys (e.g. "dot.grid", "signalized.green"). Keys under
 // other policies' namespaces are ignored by the running policy, so one map

@@ -85,9 +85,6 @@ type Config struct {
 	// ablation demonstrating why the buffer exists. Valid only with
 	// PolicyVTIM (the other policies have no such ablation).
 	OmitRTDBuffer bool
-	// AIMGridN and AIMTimeStep tune the AIM baseline; zero uses defaults.
-	AIMGridN    int
-	AIMTimeStep float64
 	// PolicyParams carries generic per-policy tuning as namespaced
 	// "<policy>.<knob>" keys (e.g. "dot.grid", "signalized.green"). Keys
 	// belonging to policies other than the one under test are ignored, so
@@ -173,15 +170,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.CollisionEvery < 0 {
 		return fmt.Errorf("sim: negative CollisionEvery %d", cfg.CollisionEvery)
-	}
-	if cfg.AIMGridN < 0 {
-		return fmt.Errorf("sim: negative AIMGridN %d", cfg.AIMGridN)
-	}
-	if cfg.AIMTimeStep < 0 {
-		return fmt.Errorf("sim: negative AIMTimeStep %v", cfg.AIMTimeStep)
-	}
-	if cfg.Policy != vehicle.PolicyAIM && (cfg.AIMGridN != 0 || cfg.AIMTimeStep != 0) {
-		return fmt.Errorf("sim: AIM tuning (GridN=%d, TimeStep=%v) set for policy %v", cfg.AIMGridN, cfg.AIMTimeStep, cfg.Policy)
 	}
 	if err := im.ValidateParams(cfg.PolicyParams); err != nil {
 		return fmt.Errorf("sim: %w", err)
@@ -454,8 +442,6 @@ func resolve(cfg Config, arrivals []traffic.Arrival) (*setup, error) {
 			RefLength:     refParams.Length,
 			RefWidth:      refWid,
 			OmitRTDBuffer: cfg.OmitRTDBuffer,
-			AIMGridN:      cfg.AIMGridN,
-			AIMTimeStep:   cfg.AIMTimeStep,
 			Params:        cfg.PolicyParams,
 		},
 		// The safety contract checked at runtime is on sensing-buffered
@@ -523,8 +509,6 @@ type world struct {
 	overlapping map[[2]int64]bool
 	bufOverlap  map[[2]int64]bool
 	tick        int
-	// debug dumps collision context to stdout (diagnostic runs only).
-	debug bool
 	// views is the reusable observer snapshot buffer.
 	views []VehicleView
 
@@ -1132,15 +1116,6 @@ func (w *world) checkCollisions() {
 						Vehicle: vi.arr.ID, Other: vj.arr.ID,
 					})
 				}
-				if w.debug {
-					fmt.Printf("[%.2f] collision veh%d(%v s=%.2f v=%.2f st=%v) x veh%d(%v s=%.2f v=%.2f st=%v)\n",
-						w.sim.Now(),
-						vi.arr.ID, vi.movement.ID, vi.plant.S(), vi.plant.V(), vi.agent.State(),
-						vj.arr.ID, vj.movement.ID, vj.plant.S(), vj.plant.V(), vj.agent.State())
-					pi, pj := vi.plant.Pose(), vj.plant.Pose()
-					fmt.Printf("    pos(veh%d)=(%.2f,%.2f h=%.2f) pos(veh%d)=(%.2f,%.2f h=%.2f)\n",
-						vi.arr.ID, pi.Pos.X, pi.Pos.Y, pi.Heading, vj.arr.ID, pj.Pos.X, pj.Pos.Y, pj.Heading)
-				}
 			}
 			w.overlapping[key] = phys
 
@@ -1157,12 +1132,6 @@ func (w *world) checkCollisions() {
 							Kind: trace.KindSimBufViol, T: w.sim.Now(), Node: vi.node,
 							Vehicle: vi.arr.ID, Other: vj.arr.ID,
 						})
-					}
-					if w.debug {
-						fmt.Printf("[%.2f] bufviol veh%d(%v s=%.2f v=%.2f st=%v) x veh%d(%v s=%.2f v=%.2f st=%v)\n",
-							w.sim.Now(),
-							vi.arr.ID, vi.movement.ID, vi.plant.S(), vi.plant.V(), vi.agent.State(),
-							vj.arr.ID, vj.movement.ID, vj.plant.S(), vj.plant.V(), vj.agent.State())
 					}
 				}
 				w.bufOverlap[key] = buf

@@ -5,7 +5,6 @@ package vehicle
 // controller with its safe-stop and car-following envelopes.
 
 import (
-	"fmt"
 	"math"
 
 	"crossroads/internal/geom"
@@ -131,10 +130,6 @@ func (a *Agent) applyTimedCommand(now float64, resp im.Response) {
 	a.originS = originS
 	a.hasProfile = true
 	a.setState(StateFollow)
-	if debugAgent {
-		fmt.Printf("[%.3f] veh%d TIMED tExec=%.3f tArrive=%.3f v=%.2f s=%.3f originS=%.3f dist=%.3f profDur=%.3f arrAt=%.3f\n",
-			now, a.ID, tExec, tArrive, v, s, originS, dist, prof.Duration(), prof.TimeAtDistance(dist))
-	}
 }
 
 // applyAIMAccept locks in the granted constant-speed crossing.
@@ -260,10 +255,6 @@ func (a *Agent) ControlStep(now, dt float64) float64 {
 		sTarget := a.originS + a.profile.DistanceAt(now)
 		lag := sTarget - sMeas
 		vCmd = math.Max(vTarget+a.cfg.ControlGain*lag, 0)
-		if debugAgent && a.ID == 2 && int(now*100)%10 == 0 {
-			fmt.Printf("[%.2f] veh2 FOLLOW s=%.3f vTarget=%.2f sTarget=%.3f lag=%.3f vCmd=%.2f\n",
-				now, sMeas, vTarget, sTarget, lag, vCmd)
-		}
 		// An AIM reservation is re-validated once, at the last moment a
 		// stop is still possible: a committed vehicle's truthful re-booking
 		// may have landed inside our window since we were accepted.

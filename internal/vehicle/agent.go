@@ -25,7 +25,6 @@ package vehicle
 import (
 	"fmt"
 	"math"
-	"os"
 
 	"crossroads/internal/des"
 	"crossroads/internal/im"
@@ -243,9 +242,6 @@ func DeriveConfig(policy Policy, spec safety.Spec, params kinematics.Params) Con
 	cfg.StopLineOffset = spec.StopLineOffset(params.Width)
 	return cfg
 }
-
-// debugAgent enables actuation traces (diagnostic runs only).
-var debugAgent = os.Getenv("CROSSROADS_DEBUG_AGENT") != ""
 
 // LeaderInfo describes the vehicle ahead in the same lane corridor.
 type LeaderInfo struct {
