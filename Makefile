@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-grid bench-report race vet fmt staticcheck check trace-demo corridor-demo grid-demo chaos-demo serve-demo policy-demo perfbench-test
+.PHONY: build test bench bench-report race vet fmt staticcheck check trace-demo corridor-demo grid-demo chaos-demo serve-demo policy-demo perfbench-test
 
 build:
 	$(GO) build ./...
@@ -13,19 +13,17 @@ test:
 race:
 	$(GO) test -race ./...
 
+## bench runs the paper-number and per-layer micro-benchmarks of every
+## package; the end-to-end workloads are perfbench's (see bench-report).
 bench:
-	$(GO) test -bench . -benchmem -run '^$$'
+	$(GO) test -bench . -benchmem -run '^$$' ./...
 
-## bench-grid times the Manhattan-grid workloads (5x5 and 10x10) under both
-## event kernels, reporting ns normalized per vehicle-crossing.
-bench-grid:
-	$(GO) test -bench 'BenchmarkGrid' -benchmem -run '^$$'
-
-## bench-report writes a new machine-readable benchmark record to the next
-## unused BENCH_<n>.json, so committed records are never overwritten (run
-## `go run ./cmd/benchreport -label <text>` to label it). Re-run on a
-## multi-core host to refresh the speedup evidence (on a single-core host
-## the parallel variants are skipped or noted).
+## bench-report runs the repository benchmark (BENCHMARK.json: every
+## workload untraced at seeds 11-15, then traced at seed 11) and writes
+## median, min and max per end-to-end metric, with nproc and commit, to the
+## next unused BENCH_<n>.json, so committed records are never overwritten
+## (run `go run ./cmd/benchreport -label <text>` to label it). It takes
+## about 6-7 minutes and fails, writing nothing, on any failed run.
 bench-report:
 	$(GO) run ./cmd/benchreport
 

@@ -1,9 +1,16 @@
-// Command benchreport measures the performance-critical paths — the
-// reservation-book feasibility query, the parallel experiment engine, and
-// the multi-IM corridor engine — and writes a machine-readable report
-// (BENCH_*.json) for review alongside code changes.
+// Command benchreport writes the repository benchmark's committed record.
+// It reads BENCHMARK.json and runs its command once per declared workload
+// for each seed in seeds, untraced, then once more per workload traced at
+// the first seed. It writes, per workload, the median, min and max of
+// every declared end-to-end metric over the seeds, each run's attempted
+// and failed counts, and the traced run's per-layer metrics, stamped with
+// the runs' nproc and commit.
 //
-// Usage:
+// A run that exits non-zero, reports correct:false, lacks a declared
+// metric, or disagrees with the others on nproc or commit fails the whole
+// report, and nothing is written.
+//
+// Usage, from the repository root:
 //
 //	benchreport [-out path] [-label text]
 //
@@ -12,164 +19,242 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
-	"runtime"
+	"sort"
 	"strconv"
 	"strings"
-	"testing"
-
-	"crossroads/internal/im"
-	"crossroads/internal/intersection"
-	"crossroads/internal/kinematics"
-	"crossroads/internal/metrics"
-	"crossroads/internal/parallel"
-	"crossroads/internal/safety"
-	"crossroads/internal/sim"
-	"crossroads/internal/sweep"
-	"crossroads/internal/topology"
-	"crossroads/internal/traffic"
-	"crossroads/internal/vehicle"
 )
+
+// seeds are the untraced runs' seeds, the perfbench README's steadiness
+// convention. The traced run uses the first.
+var seeds = []int64{11, 12, 13, 14, 15}
+
+// declared is the part of BENCHMARK.json the report reads.
+type declared struct {
+	Command    []string `json:"command"`
+	RunSeconds float64  `json:"run_seconds"`
+	Workloads  []entry  `json:"workloads"`
+	EndToEnd   []entry  `json:"end_to_end"`
+	PerLayer   []entry  `json:"per_layer"`
+}
+
+// entry is a named entry of BENCHMARK.json: a workload, or a metric and
+// its unit.
+type entry struct {
+	Name string `json:"name"`
+	Unit string `json:"unit"`
+}
+
+// metric is one value as the benchmark prints it.
+type metric struct {
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
+}
+
+// run is one benchmark run: its header stamp and its final JSON line.
+type run struct {
+	Seed   int64
+	Nproc  int
+	Commit string
+	Out    struct {
+		Correct   bool              `json:"correct"`
+		Attempted int               `json:"attempted"`
+		Failed    int               `json:"failed"`
+		Metrics   map[string]metric `json:"metrics"`
+	}
+}
+
+// report is the BENCH_<n>.json schema.
+type report struct {
+	Label      string                    `json:"label"`
+	Command    []string                  `json:"command"`
+	RunSeconds float64                   `json:"run_seconds"`
+	Seeds      []int64                   `json:"seeds"`
+	Nproc      int                       `json:"nproc"`
+	Commit     string                    `json:"commit"`
+	Workloads  map[string]workloadReport `json:"workloads"`
+}
+
+type workloadReport struct {
+	// Runs holds each untraced run's counts, in seed order.
+	Runs     []runCounts       `json:"runs"`
+	EndToEnd map[string]spread `json:"end_to_end"`
+	// PerLayer is the traced run's values at TracedSeed.
+	TracedSeed int64             `json:"traced_seed"`
+	PerLayer   map[string]metric `json:"per_layer"`
+}
+
+type runCounts struct {
+	Seed      int64 `json:"seed"`
+	Attempted int   `json:"attempted"`
+	Failed    int   `json:"failed"`
+}
+
+// spread summarizes one metric over the seeds; Values are in seed order.
+type spread struct {
+	Unit   string    `json:"unit"`
+	Median float64   `json:"median"`
+	Min    float64   `json:"min"`
+	Max    float64   `json:"max"`
+	Values []float64 `json:"values"`
+}
 
 func main() {
 	out := flag.String("out", "", "output path (default: the next unused BENCH_<n>.json)")
 	label := flag.String("label", "", "report label")
 	flag.Parse()
+	d, err := readDeclared("BENCHMARK.json")
+	fatal(err)
+	untraced, traced := map[string][]run{}, map[string]run{}
+	for _, w := range d.Workloads {
+		for _, s := range seeds {
+			untraced[w.Name] = append(untraced[w.Name], measure(d, w.Name, s, 0))
+		}
+		traced[w.Name] = measure(d, w.Name, seeds[0], 1)
+	}
+	rep, err := aggregate(d, *label, untraced, traced)
+	fatal(err)
 	if *out == "" {
-		next, err := nextBenchPath(".")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchreport:", err)
-			os.Exit(1)
-		}
-		*out = next
+		*out, err = nextBenchPath(".")
+		fatal(err)
 	}
+	data, err := json.MarshalIndent(rep, "", "  ")
+	fatal(err)
+	fatal(os.WriteFile(*out, append(data, '\n'), 0o644))
+	fmt.Printf("benchreport: wrote %s (nproc=%d commit=%s)\n", *out, rep.Nproc, rep.Commit)
+}
 
-	rep := metrics.BenchReport{
-		Label:  *label,
-		GoOS:   runtime.GOOS,
-		GoArch: runtime.GOARCH,
-		NumCPU: runtime.NumCPU(),
-	}
-
-	fmt.Println("benchreport: measuring book hot path...")
-	rep.Metrics = append(rep.Metrics, record("BookEarliestFeasible", benchBook()))
-
-	fmt.Println("benchreport: measuring sweep, workers=1...")
-	serial := benchSweep(1)
-	rep.Metrics = append(rep.Metrics, record("SweepParallel/workers=1", serial))
-
-	// On a single-core machine the "parallel" variant resolves to
-	// workers=1 — identical to the serial measurement, and a duplicate
-	// metric name the report writer would reject. Skip it and say so.
-	workers := parallel.Workers(0)
-	if workers > 1 {
-		fmt.Printf("benchreport: measuring sweep, workers=%d...\n", workers)
-		par := benchSweep(workers)
-		rep.Metrics = append(rep.Metrics,
-			record(fmt.Sprintf("SweepParallel/workers=%d", workers), par))
-		if par.NsPerOp() > 0 {
-			fmt.Printf("benchreport: sweep speedup workers=1 -> workers=%d: %.2fx\n",
-				workers, float64(serial.NsPerOp())/float64(par.NsPerOp()))
-		}
-	} else {
-		note := "parallel sweep variant skipped: single-core machine (workers=1 equals the serial measurement)"
-		rep.Notes = append(rep.Notes, note)
-		fmt.Println("benchreport:", note)
-	}
-
-	fmt.Println("benchreport: measuring 3-intersection corridor...")
-	rep.Metrics = append(rep.Metrics, record("Corridor3/crossroads", benchCorridor()))
-
-	// The coordination plane's headline claim (EXPERIMENTS.md E9): on a
-	// saturated full-scale corridor, IM↔IM digests + backpressure +
-	// green-wave floors cut mean journey wait at the same seed. Both
-	// variants carry the traffic outcome in Extra so the delta is part of
-	// the committed artifact, not just the timing.
-	for _, coord := range []bool{false, true} {
-		fmt.Printf("benchreport: measuring saturated corridor, coord=%v...\n", coord)
-		r, sum := benchCoordCorridor(coord)
-		name := "CorridorCoord3/crossroads/coord=off"
-		if coord {
-			name = "CorridorCoord3/crossroads/coord=on"
-		}
-		m := record(name, r)
-		m.Extra = map[string]float64{
-			"mean_wait_s": sum.MeanWait,
-			"p95_wait_s":  sum.P95Wait,
-			"tput_veh_s":  sum.Throughput,
-			"collisions":  float64(sum.Collisions),
-		}
-		rep.Metrics = append(rep.Metrics, m)
-	}
-
-	// Grid scaling: the same 5x5 Manhattan-grid workload under both event
-	// kernels. The Extra carries ns normalized per vehicle-crossing so grid
-	// sizes and kernels compare directly; on a single-core machine the
-	// parallel kernel cannot beat serial (its windows serialize), which the
-	// note records rather than hiding.
-	for _, kernel := range []sim.Kernel{sim.KernelSerial, sim.KernelParallel} {
-		fmt.Printf("benchreport: measuring 5x5 grid, kernel=%s...\n", kernel)
-		r, crossings := benchGrid(kernel)
-		m := record("Grid5x5/crossroads/"+kernel.String(), r)
-		if crossings > 0 {
-			m.Extra = map[string]float64{
-				"ns_per_vehicle_crossing": float64(r.NsPerOp()) / float64(crossings),
-				"crossings":               float64(crossings),
-			}
-		}
-		rep.Metrics = append(rep.Metrics, m)
-	}
-	if workers <= 1 {
-		note := "grid parallel-kernel timing on a single-core machine: shard windows serialize, so no speedup over serial is expected"
-		rep.Notes = append(rep.Notes, note)
-		fmt.Println("benchreport:", note)
-	}
-
-	fmt.Println("benchreport: measuring fault-injection overhead (mix scenario)...")
-	fm, matrix := benchFaultMatrix()
-	m := record("FaultMatrix/mix/crossroads", fm)
-	clean := matrix.Cells[0][0][0].Throughput
-	faulted := matrix.Cells[1][0][0].Throughput
-	m.Extra = map[string]float64{
-		"clean_tput":   clean,
-		"faulted_tput": faulted,
-	}
-	if clean > 0 {
-		m.Extra["tput_ratio"] = faulted / clean
-	}
-	rep.Metrics = append(rep.Metrics, m)
-	fmt.Printf("benchreport: mix-scenario throughput %.4f vs clean %.4f (%.2fx)\n",
-		faulted, clean, m.Extra["tput_ratio"])
-
-	// Policy registry: one reduced flow sweep per scheduler family, so a
-	// new policy's scheduling cost and traffic outcome land in the same
-	// committed artifact as the engine timings. Extra carries the
-	// heaviest-rate cell (1.0 car/lane/s) — the regime that separates the
-	// families.
-	for _, pol := range []vehicle.Policy{
-		vehicle.PolicyCrossroads, vehicle.PolicyDOT,
-		vehicle.PolicySignalized, vehicle.PolicyAuction,
-	} {
-		fmt.Printf("benchreport: measuring policy sweep, policy=%s...\n", pol)
-		r, cell := benchPolicySweep(pol)
-		m := record("PolicySweep/"+pol.String(), r)
-		m.Extra = map[string]float64{
-			"tput_veh_s":  cell.Throughput,
-			"mean_wait_s": cell.MeanWait,
-			"collisions":  float64(cell.Collisions),
-		}
-		rep.Metrics = append(rep.Metrics, m)
-	}
-
-	if err := rep.WriteFile(*out); err != nil {
+func fatal(err error) {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchreport:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("benchreport: wrote %s (%d cores)\n", *out, rep.NumCPU)
+}
+
+// readDeclared loads and sanity-checks the benchmark declaration.
+func readDeclared(path string) (declared, error) {
+	var d declared
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &d)
+	}
+	if err == nil && (len(d.Command) == 0 || d.RunSeconds <= 0 || len(d.Workloads) == 0 || len(d.EndToEnd) == 0 || len(d.PerLayer) == 0) {
+		err = fmt.Errorf("needs a command, positive run_seconds, workloads, end_to_end and per_layer metrics")
+	}
+	if err != nil {
+		return d, fmt.Errorf("%s: %w", path, err)
+	}
+	return d, nil
+}
+
+// measure runs the declared command for one workload and seed, and exits
+// on any failure to run it or read its output.
+func measure(d declared, workload string, seed int64, trace int) run {
+	name := fmt.Sprintf("%s seed=%d trace=%d", workload, seed, trace)
+	fmt.Println("benchreport: running", name)
+	cmd := exec.Command(d.Command[0], append(d.Command[1:len(d.Command):len(d.Command)],
+		"--workload", workload, "--seed", fmt.Sprint(seed),
+		"--seconds", fmt.Sprint(d.RunSeconds), "--trace", fmt.Sprint(trace))...)
+	cmd.Stderr = os.Stderr
+	stdout, err := cmd.Output()
+	var r run
+	if err == nil {
+		r, err = parseRun(stdout)
+	}
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w", name, err))
+	}
+	r.Seed = seed
+	return r
+}
+
+// parseRun reads a run's "# perfbench ... nproc=N ... commit=C" header
+// line and its final JSON line.
+func parseRun(stdout []byte) (run, error) {
+	var r run
+	lines := strings.Split(strings.TrimSpace(string(stdout)), "\n")
+	for _, field := range strings.Fields(lines[0]) {
+		switch k, v, _ := strings.Cut(field, "="); k {
+		case "nproc":
+			r.Nproc, _ = strconv.Atoi(v)
+		case "commit":
+			r.Commit = v
+		}
+	}
+	if !strings.HasPrefix(lines[0], "# perfbench ") || r.Nproc <= 0 || r.Commit == "" {
+		return r, fmt.Errorf("first line %q is no # perfbench header with nproc and commit", lines[0])
+	}
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &r.Out); err != nil {
+		return r, fmt.Errorf("final line: %w", err)
+	}
+	return r, nil
+}
+
+// aggregate checks every run against the declaration and against each
+// other, and builds the report. untraced holds each workload's runs in
+// seed order; traced its one traced run.
+func aggregate(d declared, label string, untraced map[string][]run, traced map[string]run) (report, error) {
+	rep := report{Label: label, Command: d.Command, RunSeconds: d.RunSeconds,
+		Seeds: seeds, Workloads: map[string]workloadReport{}}
+	stamp := func(w string, r run, want []entry) error {
+		name := fmt.Sprintf("%s seed=%d", w, r.Seed)
+		if !r.Out.Correct {
+			return fmt.Errorf("%s: correct:false", name)
+		}
+		for _, m := range want {
+			if got, ok := r.Out.Metrics[m.Name]; !ok || got.Unit != m.Unit {
+				return fmt.Errorf("%s: no %s metric in %s", name, m.Name, m.Unit)
+			}
+		}
+		if rep.Commit == "" {
+			rep.Nproc, rep.Commit = r.Nproc, r.Commit
+		}
+		if r.Nproc != rep.Nproc || r.Commit != rep.Commit {
+			return fmt.Errorf("%s: nproc=%d commit=%s, other runs nproc=%d commit=%s",
+				name, r.Nproc, r.Commit, rep.Nproc, rep.Commit)
+		}
+		return nil
+	}
+	for _, wd := range d.Workloads {
+		w, runs := wd.Name, untraced[wd.Name]
+		t := traced[w]
+		wr := workloadReport{EndToEnd: map[string]spread{}, TracedSeed: t.Seed, PerLayer: map[string]metric{}}
+		for _, r := range runs {
+			if err := stamp(w, r, d.EndToEnd); err != nil {
+				return rep, err
+			}
+			wr.Runs = append(wr.Runs, runCounts{r.Seed, r.Out.Attempted, r.Out.Failed})
+		}
+		if err := stamp(w+" traced", t, d.PerLayer); err != nil {
+			return rep, err
+		}
+		for _, m := range d.EndToEnd {
+			xs := make([]float64, len(runs))
+			for i, r := range runs {
+				xs[i] = r.Out.Metrics[m.Name].Value
+			}
+			wr.EndToEnd[m.Name] = spreadOf(m.Unit, xs)
+		}
+		for _, m := range d.PerLayer {
+			wr.PerLayer[m.Name] = t.Out.Metrics[m.Name]
+		}
+		rep.Workloads[w] = wr
+	}
+	return rep, nil
+}
+
+// spreadOf is the median (the mean of the middle two for an even count),
+// min and max of xs.
+func spreadOf(unit string, xs []float64) spread {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	return spread{Unit: unit, Median: (s[(n-1)/2] + s[n/2]) / 2, Min: s[0], Max: s[n-1], Values: xs}
 }
 
 // nextBenchPath returns BENCH_<n>.json in dir, n one past the highest
@@ -187,244 +272,4 @@ func nextBenchPath(dir string) (string, error) {
 		}
 	}
 	return filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", last+1)), nil
-}
-
-// record converts a testing.BenchmarkResult into the report schema.
-func record(name string, r testing.BenchmarkResult) metrics.BenchMetric {
-	return metrics.BenchMetric{
-		Name:        name,
-		NsPerOp:     float64(r.NsPerOp()),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		N:           r.N,
-	}
-}
-
-// benchBook measures repeated EarliestFeasible queries against a standing
-// 36-reservation ledger — the same workload as BenchmarkBookEarliestFeasible
-// in the repo's bench suite.
-func benchBook() testing.BenchmarkResult {
-	x, err := intersection.New(intersection.ScaleModelConfig())
-	fatal(err)
-	table, err := intersection.BuildConflictTable(x, 0.724, 0.452, 0.05)
-	fatal(err)
-	book := im.NewBook(x, table, 0.05, 0.156)
-	moves := x.Movements()
-	for i := 0; i < 36; i++ {
-		m := moves[i%len(moves)]
-		fatal(book.Add(im.Reservation{
-			VehicleID: int64(i + 1),
-			Seniority: int64(i),
-			Movement:  m.ID,
-			ToA:       1 + 0.5*float64(i),
-			Plan:      im.ConstantPlan(3),
-			PlanLen:   m.Path.Length(),
-		}))
-	}
-	query := moves[0]
-	plan := func(float64) im.CrossingPlan { return im.ConstantPlan(3) }
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := book.EarliestFeasible(1000, 1000, query.ID, query.Path.Length(), 2, plan); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// benchSweep measures one reduced Fig. 7.2 sweep per iteration at the given
-// worker count; the Result is bit-identical across widths, only the wall
-// time changes.
-func benchSweep(workers int) testing.BenchmarkResult {
-	cfg := sweep.Config{
-		Rates:       []float64{0.1, 0.4, 0.7, 1.0},
-		NumVehicles: 24,
-		Seed:        42,
-		Workers:     workers,
-	}
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sweep.Run(cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// benchPolicySweep measures one reduced single-policy flow sweep per
-// iteration and returns the timing plus the heaviest-rate cell, so every
-// registered scheduler family carries a comparable cost and outcome row in
-// the report.
-func benchPolicySweep(pol vehicle.Policy) (testing.BenchmarkResult, sweep.Cell) {
-	cfg := sweep.Config{
-		Rates:       []float64{0.1, 0.4, 1.0},
-		NumVehicles: 24,
-		Policies:    []vehicle.Policy{pol},
-		Seed:        42,
-		Workers:     1,
-	}
-	var last sweep.Cell
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := sweep.Run(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = res.Cells[len(res.Cells)-1][0]
-			if last.Collisions != 0 || last.BufferViolations != 0 {
-				b.Fatalf("policy %v: %d collisions, %d buffer violations",
-					pol, last.Collisions, last.BufferViolations)
-			}
-		}
-	})
-	return r, last
-}
-
-// benchCorridor measures one full 3-intersection corridor run per
-// iteration under the Crossroads policy — the same workload as
-// BenchmarkCorridor in the repo's bench suite.
-func benchCorridor() testing.BenchmarkResult {
-	topo, err := topology.Line(3)
-	fatal(err)
-	topo = topo.WithSegmentLen(0.8)
-	arr, err := traffic.PoissonRoutes(traffic.PoissonConfig{
-		Rate: 0.3, NumVehicles: 40, LanesPerRoad: 1,
-		Mix: traffic.DefaultTurnMix(), Params: kinematics.ScaleModelParams(),
-	}, topo, 0, rand.New(rand.NewSource(42)))
-	fatal(err)
-	cfg, err := sim.NewConfig(
-		sim.WithTopology(topo),
-		sim.WithPolicy(vehicle.PolicyCrossroads),
-		sim.WithSeed(42),
-		sim.WithSpec(safety.TestbedSpec()),
-	)
-	fatal(err)
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := sim.Run(cfg, arr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Summary.Completed != 40 {
-				b.Fatalf("completed %d", res.Summary.Completed)
-			}
-		}
-	})
-}
-
-// benchCoordCorridor measures one saturated full-scale 3-intersection
-// corridor run per iteration — the EXPERIMENTS.md E9 workload, via the
-// same sweep entry point the CLI uses — with the coordination plane on or
-// off, returning the timing and the last run's journey summary for the
-// report's Extra fields.
-func benchCoordCorridor(coord bool) (testing.BenchmarkResult, metrics.Summary) {
-	topo, err := topology.Line(3)
-	fatal(err)
-	cfg := sweep.TopoConfig{
-		Topology:    topo.WithSegmentLen(120),
-		Rate:        0.6,
-		NumVehicles: 200,
-		Policies:    []vehicle.Policy{vehicle.PolicyCrossroads},
-		Seed:        42,
-		Coord:       coord,
-	}
-	var last metrics.Summary
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := sweep.RunTopology(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cell := res.Cells[0]
-			if cell.Journey.Completed != 200 || cell.Journey.Collisions != 0 || cell.Incomplete != 0 {
-				b.Fatalf("corridor run unhealthy: completed=%d collisions=%d incomplete=%d",
-					cell.Journey.Completed, cell.Journey.Collisions, cell.Incomplete)
-			}
-			last = cell.Journey
-		}
-	})
-	return r, last
-}
-
-// benchGrid measures one full 5x5 Manhattan-grid run per iteration under
-// the Crossroads policy on the given kernel — the same workload as
-// BenchmarkGrid/5x5 in the repo's bench suite — returning the timing and
-// the total vehicle-crossings per run (journeys × nodes traversed) for the
-// normalized ns/crossing metric.
-func benchGrid(kernel sim.Kernel) (testing.BenchmarkResult, int) {
-	topo, err := topology.Grid(5, 5)
-	fatal(err)
-	topo = topo.WithSegmentLen(0.8)
-	arr, err := traffic.PoissonRoutes(traffic.PoissonConfig{
-		Rate: 0.3, NumVehicles: 80, LanesPerRoad: 1,
-		Mix: traffic.DefaultTurnMix(), Params: kinematics.ScaleModelParams(),
-	}, topo, 0, rand.New(rand.NewSource(42)))
-	fatal(err)
-	cfg, err := sim.NewConfig(
-		sim.WithTopology(topo),
-		sim.WithPolicy(vehicle.PolicyCrossroads),
-		sim.WithSeed(42),
-		sim.WithSpec(safety.TestbedSpec()),
-		sim.WithKernel(kernel),
-	)
-	fatal(err)
-	crossings := 0
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := sim.Run(cfg, arr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Summary.Completed != 80 || res.Summary.Collisions != 0 {
-				b.Fatalf("grid run unhealthy: completed=%d collisions=%d",
-					res.Summary.Completed, res.Summary.Collisions)
-			}
-			crossings = 0
-			for _, s := range res.PerNode {
-				crossings += s.Completed
-			}
-		}
-	})
-	return r, crossings
-}
-
-// benchFaultMatrix measures one clean-vs-mix fault-matrix column per
-// iteration under Crossroads — the cost of a fully scripted disruption run
-// — and returns the last result so the report can carry the
-// faulted-vs-clean throughput ratio alongside the timing.
-func benchFaultMatrix() (testing.BenchmarkResult, sweep.FaultMatrixResult) {
-	cfg := sweep.FaultMatrixConfig{
-		Scenarios: []string{"mix"},
-		Policies:  []vehicle.Policy{vehicle.PolicyCrossroads},
-		Seeds:     []int64{1},
-		Workers:   1,
-	}
-	var last sweep.FaultMatrixResult
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := sweep.RunFaultMatrix(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if v := res.SafetyViolations(); v != 0 {
-				b.Fatalf("%d safety violations", v)
-			}
-			last = res
-		}
-	})
-	return r, last
-}
-
-func fatal(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchreport:", err)
-		os.Exit(1)
-	}
 }

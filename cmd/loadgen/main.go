@@ -15,7 +15,6 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -23,7 +22,6 @@ import (
 
 	"crossroads/internal/intersection"
 	"crossroads/internal/kinematics"
-	"crossroads/internal/metrics"
 	"crossroads/internal/protocol"
 	"crossroads/internal/trace"
 	"crossroads/internal/traffic"
@@ -38,7 +36,6 @@ func main() {
 		rate     = flag.Float64("rate", 0.5, "open loop: arrivals per second per entry lane")
 		duration = flag.Duration("duration", 30*time.Second, "how long to generate load")
 		seed     = flag.Int64("seed", 1, "workload RNG seed")
-		benchOut = flag.String("bench-out", "", "write the run's aggregate stats as a BENCH_*.json benchmark report")
 	)
 	flag.Parse()
 	if *addr == "" {
@@ -46,10 +43,8 @@ func main() {
 	}
 	var res results
 	var err error
-	label := *mode
 	switch {
 	case *grid != "":
-		label = "grid-" + *grid
 		err = runGrid(*addr, *conns, *grid, *rate, *duration, *seed, &res)
 	case *mode == "closed":
 		err = runClosed(*addr, *conns, *duration, *seed, &res)
@@ -62,12 +57,6 @@ func main() {
 		fatalf("%v", err)
 	}
 	res.report(os.Stdout, *duration)
-	if *benchOut != "" {
-		if err := res.writeBench(*benchOut, "loadgen-"+label, *duration); err != nil {
-			fatalf("bench report: %v", err)
-		}
-		fmt.Printf("loadgen: benchmark report written to %s\n", *benchOut)
-	}
 	if res.decodeErrs > 0 || res.protoErrs > 0 || res.dropped > 0 {
 		os.Exit(1)
 	}
@@ -168,47 +157,6 @@ func (r *results) report(w io.Writer, d time.Duration) {
 		h.Observe(s)
 	}
 	fmt.Fprintf(w, "loadgen: grant latency histogram:\n%s", h.Render("  "))
-}
-
-// writeBench serializes the run's aggregate stats as a committed benchmark
-// artifact: grant throughput plus the deadline-cut latency tail.
-func (r *results) writeBench(path, label string, d time.Duration) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var meanNs float64
-	for _, s := range r.samples {
-		meanNs += s * 1e9
-	}
-	if len(r.samples) > 0 {
-		meanNs /= float64(len(r.samples))
-	}
-	p50, p90, p99, max, _ := r.percentiles()
-	rep := metrics.BenchReport{
-		Label:  label,
-		GoOS:   runtime.GOOS,
-		GoArch: runtime.GOARCH,
-		NumCPU: runtime.NumCPU(),
-		Metrics: []metrics.BenchMetric{{
-			Name:    "GrantLatency",
-			NsPerOp: meanNs,
-			N:       len(r.samples),
-			Extra: map[string]float64{
-				"grants_per_s": float64(r.grants) / d.Seconds(),
-				"p50_ms":       p50 * 1000,
-				"p90_ms":       p90 * 1000,
-				"p99_ms":       p99 * 1000,
-				"max_ms":       max * 1000,
-				"grants":       float64(r.grants),
-				"exits":        float64(r.exits),
-				"journeys":     float64(r.journeys),
-				"late_replies": float64(r.late),
-			},
-		}},
-		Notes: []string{
-			"loadgen aggregate: latency percentiles cover only replies received before the run deadline (late_replies arrived after it)",
-		},
-	}
-	return rep.WriteFile(path)
 }
 
 // geometryWorld resolves the served geometry into the client-side facts a

@@ -389,3 +389,27 @@ func TestEventPoolReusesObjects(t *testing.T) {
 	}
 	s.Run()
 }
+
+// BenchmarkScheduleStep times the kernel's own cost per event: one After
+// and one Step against a standing queue of 1024 pending events.
+func BenchmarkScheduleStep(b *testing.B) {
+	const depth = 1024
+	s := New()
+	fired := 0
+	fn := func() { fired++ }
+	for i := 0; i < depth; i++ {
+		s.At(float64(i), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.After(depth, fn)
+		if !s.Step() {
+			b.Fatal("Step found no event")
+		}
+	}
+	b.StopTimer()
+	if fired != b.N || s.Pending() != depth {
+		b.Fatalf("fired %d of %d events, %d pending (want %d)", fired, b.N, s.Pending(), depth)
+	}
+}
